@@ -55,12 +55,11 @@ func run() int {
 		supervise = flag.Bool("supervise", false, "run experiment campaigns under the self-healing supervisor")
 		minBudget = flag.Duration("minimize-budget", core.DefaultMinimizeBudget,
 			"wall-clock budget per reproducer minimization (negative disables the bound)")
-		benchJSON   = flag.String("bench-json", "", "run the fixed-seed throughput benchmark and write a JSON report to this file")
-		oracleFlag  = flag.Bool("oracle", false, "arm the abstract-state soundness oracle in the -bench-json campaign (measures its overhead)")
-		cacheFlag   = flag.Bool("cache", true, "memoize verifier verdicts in the -bench-json campaign (the committed baselines are cached)")
-		baseline    = flag.String("bench-baseline", "", "committed BENCH_*.json to compare against; >20% iters/sec regression fails the run")
-		mutateBatch = flag.Int("mutate-batch", 0, "sibling-batch size of the mutation scheduler (0 = default, 1 = classic one-mutant picks)")
-		minHitRate  = flag.Float64("min-hit-rate", 0, "fail the -bench-json run when the whole-program cache hit rate is below this fraction")
+		benchJSON  = flag.String("bench-json", "", "run the fixed-seed throughput benchmark and write a JSON report to this file")
+		oracleFlag = flag.Bool("oracle", false, "arm the abstract-state soundness oracle in the -bench-json campaign (measures its overhead)")
+		cacheFlag  = flag.Bool("cache", true, "memoize verifier verdicts in the -bench-json campaign (the committed baselines are cached)")
+		baseline   = flag.String("bench-baseline", "", "committed BENCH_*.json to compare against; >20% iters/sec regression fails the run")
+		minHitRate = flag.Float64("min-hit-rate", 0, "fail the -bench-json run when the whole-program cache hit rate is below this fraction")
 	)
 	profFlags := prof.Register(flag.CommandLine)
 	flag.Parse()
@@ -80,7 +79,7 @@ func run() int {
 	}
 
 	if *benchJSON != "" {
-		if err := runBenchJSON(*benchJSON, *budget, *oracleFlag, *cacheFlag, *baseline, *mutateBatch, *minHitRate); err != nil {
+		if err := runBenchJSON(*benchJSON, *budget, *oracleFlag, *cacheFlag, *baseline, *minHitRate); err != nil {
 			fmt.Fprintf(os.Stderr, "bvf-bench: %v\n", err)
 			return 1
 		}
@@ -241,7 +240,7 @@ func buildReport(st *core.Stats, elapsed time.Duration, allocs, bytes uint64, or
 // to path. Allocations are measured as the runtime's Mallocs/TotalAlloc
 // delta across the campaign, so the number covers the whole pipeline
 // (generate, verify, sanitize, execute, triage), not just the verifier.
-func runBenchJSON(path string, budget int, oracle, cached bool, baselinePath string, mutateBatch int, minHitRate float64) error {
+func runBenchJSON(path string, budget int, oracle, cached bool, baselinePath string, minHitRate float64) error {
 	iters := budget
 	if iters <= 0 {
 		iters = 3000
@@ -249,7 +248,6 @@ func runBenchJSON(path string, budget int, oracle, cached bool, baselinePath str
 	cfg := core.CampaignConfig{
 		Source: core.BVFSource(true), Version: kernel.BPFNext,
 		Sanitize: true, Seed: 7, NoMinimize: true, Oracle: oracle,
-		MutateBatch: mutateBatch,
 	}
 	if cached {
 		cfg.Cache = vcache.NewStore(0)

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	bvf [-version bpf-next|v6.1|v5.15] [-iters N] [-seed N] [-workers N]
-//	    [-tool bvf|syzkaller|buzzer|buzzer-random] [-mutate-batch K]
+//	    [-tool bvf|syzkaller|buzzer|buzzer-random]
 //	    [-nosanitize] [-v]
 //	    [-checkpoint FILE] [-checkpoint-every N] [-resume]
 //	    [-supervise] [-max-restarts N] [-watchdog D]
@@ -86,7 +86,6 @@ func run() int {
 		seed        = flag.Int64("seed", 1, "campaign seed")
 		workers     = flag.Int("workers", runtime.NumCPU(), "parallel campaign shards")
 		tool        = flag.String("tool", "bvf", "generator: bvf, syzkaller, buzzer, buzzer-random")
-		mutateBatch = flag.Int("mutate-batch", 0, "sibling-batch size of the mutation scheduler (0 = default, 1 = classic one-mutant picks)")
 		noSan       = flag.Bool("nosanitize", false, "disable the BVF sanitation patches")
 		verbose     = flag.Bool("v", false, "print reproducer programs for each bug")
 
@@ -219,7 +218,7 @@ func run() int {
 	c := core.NewParallelCampaign(core.ParallelConfig{
 		CampaignConfig: core.CampaignConfig{
 			Source: src, Version: version, Sanitize: sanitize,
-			Seed: *seed, MutateBias: mutate, MutateBatch: *mutateBatch,
+			Seed: *seed, MutateBias: mutate,
 			Oracle: *oracleFlag,
 			Supervision: core.SupervisorConfig{
 				Enabled:       *supervise,

@@ -62,9 +62,6 @@ type CampaignConfig struct {
 	// non-nil (e.g. bugs.None() for a fully fixed kernel).
 	OverrideBugs bugs.Set
 	Seed         int64
-	// RecycleEvery rebuilds the kernel (fresh memory domain) after this
-	// many iterations, like a fuzzer rebooting its VM.
-	RecycleEvery int
 	// MutateBias is the per-iteration probability (0-256) of mutating a
 	// corpus program instead of generating afresh, once coverage
 	// feedback has populated the corpus. Negative disables mutation
@@ -80,8 +77,6 @@ type CampaignConfig struct {
 	// the measured hit-rate/throughput curve — see EXPERIMENTS.md); 1
 	// (or negative) restores classic one-mutant-per-pick scheduling.
 	MutateBatch int
-	// CurveSamples controls how many coverage curve points to record.
-	CurveSamples int
 	// NoMinimize skips reproducer minimization on discovered bugs.
 	NoMinimize bool
 	// Oracle enables the differential abstract-state soundness checker on
@@ -90,8 +85,6 @@ type CampaignConfig struct {
 	// surface as kernel.IndicatorSoundness findings. Off by default; the
 	// golden determinism fingerprint is defined with the oracle off.
 	Oracle bool
-	// RunsPerProgram executes each accepted program this many times.
-	RunsPerProgram int
 	// Cache, when non-nil, memoizes verifier verdicts across iterations
 	// (and kernel recycles — see internal/vcache). Single campaigns pass a
 	// *vcache.Store; ParallelCampaign hands each shard a *vcache.Shard
@@ -147,22 +140,24 @@ type NovelProgram struct {
 	Novelty int // fresh coverage sites the program contributed locally
 }
 
+// Fixed campaign cadences.
+const (
+	// recycleEvery rebuilds the kernel (fresh memory domain) after this
+	// many iterations, like a fuzzer rebooting its VM.
+	recycleEvery = 512
+	// curveSamples is how many coverage curve points one Run records.
+	curveSamples = 48
+	// runsPerProgram executes each accepted program this many times.
+	runsPerProgram = 2
+)
+
 // NewCampaign builds a campaign.
 func NewCampaign(cfg CampaignConfig) *Campaign {
-	if cfg.RecycleEvery == 0 {
-		cfg.RecycleEvery = 512
-	}
 	if cfg.MutateBias == 0 {
 		cfg.MutateBias = 96
 	}
 	if cfg.MutateBatch == 0 {
 		cfg.MutateBatch = 16
-	}
-	if cfg.CurveSamples == 0 {
-		cfg.CurveSamples = 48
-	}
-	if cfg.RunsPerProgram == 0 {
-		cfg.RunsPerProgram = 2
 	}
 	cfg.Supervision = cfg.Supervision.withDefaults()
 	src := newCountedSource(cfg.Seed)
@@ -279,7 +274,7 @@ func (c *Campaign) Run(iters int) (*Stats, error) {
 	// only be caught by the shard supervisor, which is exactly what tests
 	// use it for.
 	faultinject.Fire("core.round")
-	sampleEvery := iters / c.cfg.CurveSamples
+	sampleEvery := iters / curveSamples
 	if sampleEvery == 0 {
 		sampleEvery = 1
 	}
@@ -287,7 +282,7 @@ func (c *Campaign) Run(iters int) (*Stats, error) {
 	base := c.stats.Iterations
 	for i := 0; i < iters; i++ {
 		gi := base + i
-		if c.k == nil || gi%c.cfg.RecycleEvery == 0 {
+		if c.k == nil || gi%recycleEvery == 0 {
 			if err := c.recycle(); err != nil {
 				return nil, err
 			}
@@ -477,7 +472,7 @@ func (c *Campaign) iteration(i int) {
 	tExec := time.Now()
 	triBefore := c.stats.StageNanos["triage"]
 	oChecks, oViols, oNanos := c.k.OracleChecks, c.k.OracleViolations, c.k.OracleNanos
-	for run := 0; run < c.cfg.RunsPerProgram; run++ {
+	for run := 0; run < runsPerProgram; run++ {
 		out := c.k.Run(lp)
 		if isExecWatchdog(out.Err) {
 			c.recordWatchdog("exec", i, prog)

@@ -30,9 +30,6 @@ type ParallelConfig struct {
 	// 1024. Syncs are barriers: determinism does not depend on the
 	// goroutine schedule because shards only interact at round edges.
 	SyncEvery int
-	// ExchangeTop caps how many coverage-novel programs one shard
-	// broadcasts to the others per sync round. Default 8.
-	ExchangeTop int
 	// Progress, when non-nil, receives a periodic one-line progress
 	// report (iters/sec, acceptance rate, coverage, bugs found).
 	Progress io.Writer
@@ -95,13 +92,17 @@ type ParallelCampaign struct {
 	liveCoverage atomic.Int64
 	liveBugs     atomic.Int64
 	// liveStageNS accumulates per-stage wall-clock nanoseconds across all
-	// shards, indexed by stageIndex order (gen, verify, exec, triage).
+	// shards, indexed in stageNames order.
 	liveStageNS [len(stageNames)]atomic.Int64
 }
 
-// stageNames fixes the reporter's stage order; stageIndex maps a
-// Campaign OnStage callback's stage name onto it.
-var stageNames = [...]string{"gen", "verify", "exec", "triage"}
+// exchangeTop caps how many coverage-novel programs one shard broadcasts
+// to the others per sync round.
+const exchangeTop = 8
+
+// stageNames fixes the reporter's stage order, one entry per stage a
+// Campaign reports through OnStage; stageIndex maps a stage name onto it.
+var stageNames = [...]string{"gen", "verify", "cache", "exec", "oracle", "triage"}
 
 func stageIndex(stage string) int {
 	for i, n := range stageNames {
@@ -119,9 +120,6 @@ func NewParallelCampaign(cfg ParallelConfig) *ParallelCampaign {
 	}
 	if cfg.SyncEvery <= 0 {
 		cfg.SyncEvery = 1024
-	}
-	if cfg.ExchangeTop <= 0 {
-		cfg.ExchangeTop = 8
 	}
 	if cfg.ReportEvery <= 0 {
 		cfg.ReportEvery = 5 * time.Second
@@ -388,10 +386,10 @@ func (p *ParallelCampaign) sync() {
 		if fresh == 0 || len(novel) == 0 {
 			continue
 		}
-		if len(novel) > p.cfg.ExchangeTop {
+		if len(novel) > exchangeTop {
 			// Keep the most recent entries: later additions subsume
 			// earlier coverage within the round.
-			novel = novel[len(novel)-p.cfg.ExchangeTop:]
+			novel = novel[len(novel)-exchangeTop:]
 		}
 		donations = append(donations, donation{from: i, entries: novel})
 	}
@@ -567,7 +565,7 @@ func (p *ParallelCampaign) startReporter() func() {
 					// side: the first says how often verification was skipped
 					// outright, the second how often it resumed mid-trace.
 					cnt := p.cfg.SharedCache.CounterSnapshot()
-					cacheShare = fmt.Sprintf("  cache %.0f%%/%.0f%%",
+					cacheShare = fmt.Sprintf("  cache hits %.0f%%/%.0f%%",
 						100*hitShare(cnt.Hits, cnt.Misses),
 						100*hitShare(cnt.PrefixHits, cnt.PrefixMisses))
 				}

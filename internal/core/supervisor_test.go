@@ -1,12 +1,16 @@
 package core
 
 import (
+	"regexp"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/bugs"
 	"repro/internal/faultinject"
 	"repro/internal/kernel"
+	"repro/internal/vcache"
 )
 
 func supervisedConfig(workers int, seed int64) ParallelConfig {
@@ -52,6 +56,33 @@ func TestIterationPanicContained(t *testing.T) {
 	}
 	if cr.Iteration != 4 {
 		t.Errorf("crash iteration = %d, want 4 (hit 5 is the 5th iteration)", cr.Iteration)
+	}
+}
+
+// TestHelperBadSizeIsFinding replays campaign seed 12000339 in the cached,
+// supervised configuration. There the armed kfunc-backtracking bug lets a
+// program call bpf_get_current_comm with a negative size, first at
+// iteration 4856 with size -24. The helper model must report that write
+// as a KASAN finding rather than panic the harness, so no iteration of
+// the campaign is lost to a contained panic.
+func TestHelperBadSizeIsFinding(t *testing.T) {
+	if raceEnabled {
+		t.Skip("long deterministic campaign; concurrency is covered by the parallel-campaign tests under -race")
+	}
+	st, err := NewCampaign(CampaignConfig{
+		Source: BVFSource(true), Version: kernel.BPFNext, Sanitize: true,
+		Seed: 12000339, NoMinimize: true, Cache: vcache.NewStore(0),
+		Supervision: SupervisorConfig{Enabled: true, MaxRestarts: 8, VerifyTimeout: 2 * time.Second, ExecTimeout: 2 * time.Second},
+	}).Run(30000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.CrashCount != 0 {
+		t.Errorf("CrashCount = %d, want 0; first crash: %+v", st.CrashCount, st.HarnessCrashes[0])
+	}
+	key := BugKey{ID: bugs.Bug3KfuncBacktrack, Indicator: kernel.Indicator1, Kind: "kasan:wild-memory-access"}
+	if rec := st.Bugs[key]; rec == nil || rec.FoundAt != 4856 {
+		t.Errorf("bad comm write not reported as %v at iteration 4856: %+v", key, rec)
 	}
 }
 
@@ -327,6 +358,47 @@ func TestReporterStopIdempotent(t *testing.T) {
 	time.Sleep(5 * time.Millisecond)
 	stop()
 	stop()
+}
+
+// TestReporterStageShares: the progress line carries a share for every
+// stage a campaign reports, so an oracle campaign's replay time shows up
+// as an oracle share instead of vanishing from the denominator.
+func TestReporterStageShares(t *testing.T) {
+	cfg := parallelConfig(2, 1)
+	cfg.Oracle = true
+	out := &lockedBuffer{}
+	cfg.Progress = out
+	cfg.ReportEvery = time.Millisecond
+	if _, err := NewParallelCampaign(cfg).Run(1000); err != nil {
+		t.Fatal(err)
+	}
+	lines := out.String()
+	for _, stage := range stageNames {
+		if !strings.Contains(lines, " "+stage+" ") {
+			t.Errorf("no %s share in the progress lines:\n%s", stage, lines)
+		}
+	}
+	if !regexp.MustCompile(` oracle [1-9][0-9]*%`).MatchString(lines) {
+		t.Errorf("oracle share never above 0%%:\n%s", lines)
+	}
+}
+
+// lockedBuffer is an io.Writer safe to read while the reporter writes.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
 }
 
 type discardWriter struct{}

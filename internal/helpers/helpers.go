@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"repro/internal/isa"
+	"repro/internal/kmem"
 	"repro/internal/maps"
 )
 
@@ -285,6 +286,27 @@ func readMapKey(env Env, m *maps.Map, addr uint64) ([]byte, error) {
 	return env.ReadMem(addr, int(m.KeySize))
 }
 
+// writeComm is bpf_get_current_comm's body: it fills the size bytes at
+// addr with the task name, NUL-padded or truncated. A negative size, which the
+// verifier should never have let through, is reported as a wild write,
+// the way ReadMem reports a negative read. The buffer is written a
+// bounded chunk at a time, so an oversized size ends at the first byte
+// the memory checks reject instead of allocating size bytes.
+func writeComm(env Env, addr uint64, size int) error {
+	if size < 0 {
+		return &kmem.Report{Kind: kmem.ReportWild, Addr: addr, Size: size, Write: true}
+	}
+	var buf [64]byte
+	copy(buf[:], "bvf-task")
+	for off := 0; off < size; off += len(buf) {
+		if err := env.WriteMem(addr+uint64(off), buf[:min(size-off, len(buf))]); err != nil {
+			return err
+		}
+		buf = [64]byte{}
+	}
+	return nil
+}
+
 // NewRegistry builds the full helper table.
 func NewRegistry() *Registry {
 	r := &Registry{byID: make(map[int32]*Helper)}
@@ -434,13 +456,7 @@ func NewRegistry() *Registry {
 		Args: []ArgType{ArgPtrToUninitMem, ArgSize},
 		Ret:  RetInteger, Tracing: true,
 		Impl: func(env Env, args [5]uint64) (uint64, error) {
-			n := int(int32(args[1]))
-			buf := make([]byte, n)
-			copy(buf, "bvf-task")
-			if err := env.WriteMem(args[0], buf); err != nil {
-				return 0, err
-			}
-			return 0, nil
+			return 0, writeComm(env, args[0], int(int32(args[1])))
 		},
 	})
 

@@ -1,9 +1,12 @@
 package helpers
 
 import (
+	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/kmem"
 )
 
 func TestRegistryCompleteness(t *testing.T) {
@@ -109,5 +112,69 @@ func TestRefFlagsConsistent(t *testing.T) {
 		if h.ReleasesRef && id != RingbufSubmit && id != RingbufDiscard {
 			t.Errorf("unexpected ReleasesRef on %s", h.Name)
 		}
+	}
+}
+
+// commEnv is an Env whose only working method is WriteMem: writes land in
+// a buffer of mapped bytes at base, and a write past its end fails with
+// an out-of-bounds report, as KASAN would.
+type commEnv struct {
+	Env
+	base     uint64
+	mem      []byte
+	largest  int // longest single WriteMem
+	attempts int
+}
+
+func (e *commEnv) WriteMem(addr uint64, data []byte) error {
+	e.attempts++
+	e.largest = max(e.largest, len(data))
+	off := int(addr - e.base)
+	if addr < e.base || off+len(data) > len(e.mem) {
+		return &kmem.Report{Kind: kmem.ReportOOB, Addr: addr, Size: len(data), Write: true}
+	}
+	copy(e.mem[off:], data)
+	return nil
+}
+
+// TestGetCurrentCommSize pins bpf_get_current_comm's handling of the size
+// argument. A size the verifier wrongly let through must become a KASAN
+// report, never a harness panic or a huge allocation: a negative size is
+// a wild write that touches no memory, and a size far past the buffer
+// stops at the first rejected chunk. A valid size gets the NUL-padded
+// task name.
+func TestGetCurrentCommSize(t *testing.T) {
+	comm := NewRegistry().ByID(GetCurrentComm).Impl
+	const base = 0x1000
+	call := func(size int64) (*commEnv, error) {
+		env := &commEnv{base: base, mem: bytes.Repeat([]byte{0xaa}, 32)}
+		_, err := comm(env, [5]uint64{base, uint64(size)})
+		return env, err
+	}
+
+	env, err := call(-24)
+	var rep *kmem.Report
+	if !errors.As(err, &rep) || rep.Kind != kmem.ReportWild || !rep.Write || rep.Size != -24 {
+		t.Fatalf("size -24: err = %v, want a wild-write report of size -24", err)
+	}
+	if env.attempts != 0 {
+		t.Errorf("size -24: %d writes attempted, want none", env.attempts)
+	}
+
+	env, err = call(1<<31 - 1)
+	if !errors.As(err, &rep) || rep.Kind != kmem.ReportOOB {
+		t.Fatalf("size 2^31-1: err = %v, want the out-of-bounds report", err)
+	}
+	if env.attempts != 1 || env.largest > 64 {
+		t.Errorf("size 2^31-1: %d writes, largest %d bytes; want one bounded write", env.attempts, env.largest)
+	}
+
+	env, err = call(12)
+	if err != nil {
+		t.Fatalf("size 12: %v", err)
+	}
+	want := append([]byte("bvf-task\x00\x00\x00\x00"), bytes.Repeat([]byte{0xaa}, 20)...)
+	if !bytes.Equal(env.mem, want) {
+		t.Errorf("size 12 wrote %q, want %q", env.mem, want)
 	}
 }

@@ -17,12 +17,11 @@ import (
 //     verdict, counters, and the exact coverage profile the scratch
 //     verification produced, so cached-on and cached-off campaigns stay
 //     bit-identical;
-//   - trace-prefix snapshots: the structured generator's init frame is a
-//     forced single-path preamble shared by whole batches of sibling
-//     mutants — straight-line code plus unconditional jumps, bpf-to-bpf
-//     calls, and subframe returns, up to the first conditional branch —
-//     so the abstract state at that first fork is captured once and
-//     resumed by every mutant whose trace bytes are unchanged.
+//   - linear-prefix snapshots: the structured generator's init frame
+//     opens with straight-line code and helper calls shared by whole
+//     batches of sibling mutants, so the abstract state at the first jump,
+//     bpf-to-bpf call or exit is captured once and resumed by every mutant
+//     whose prefix bytes are unchanged.
 //
 // Correctness rules, enforced here rather than trusted to implementations:
 //
@@ -32,8 +31,8 @@ import (
 //   - entries never store kernel addresses. Map references are stored as
 //     FDs and rebound through Config.MapByFD on every hit, and the fixed-up
 //     program is re-derived from the original program on every hit
-//     (refixup), because map kernel addresses are not stable across kernel
-//     recycles;
+//     (fixupProgram), because map kernel addresses are not stable across
+//     kernel recycles;
 //   - a hit that cannot be rebound (stale FD, missing resolver) falls back
 //     to scratch verification instead of erroring;
 //   - watchdog timeouts are never cached: a TimeoutError is a harness
@@ -179,9 +178,9 @@ func (v *CachedVerdict) materialize(prog *isa.Program, cfg *Config) (*Result, er
 	}
 	var fixed *isa.Program
 	if !v.Rejected {
-		var ok bool
-		fixed, ok = refixup(prog, cfg, v.ProbeMem)
-		if !ok {
+		var err error
+		fixed, err = fixupProgram(prog, cfg, func(i int) bool { return v.ProbeMem[i] }, staleFixup)
+		if err != nil {
 			return nil, nil, false
 		}
 	}
@@ -201,75 +200,35 @@ func (v *CachedVerdict) materialize(prog *isa.Program, cfg *Config) (*Result, er
 	}, nil, true
 }
 
-// refixup re-derives the fixed-up program from the original on a cache
-// hit. It mirrors env.fixup exactly (fixup.go) but reports failure instead
-// of constructing a rejection — a false return falls back to scratch
-// verification, which re-produces the authoritative error.
-func refixup(prog *isa.Program, cfg *Config, probeMem map[int]bool) (*isa.Program, bool) {
-	out := prog.Clone()
-	for i := range out.Insns {
-		ins := &out.Insns[i]
-		if ins.IsWide() {
-			switch ins.Src {
-			case isa.PseudoMapFD:
-				m := cfg.MapByFD(int32(ins.Imm64))
-				if m == nil {
-					return nil, false
-				}
-				rewriteImm64(ins, m.KernAddr)
-			case isa.PseudoMapValue:
-				m := cfg.MapByFD(int32(uint32(ins.Imm64)))
-				if m == nil || m.Type != maps.Array {
-					return nil, false
-				}
-				off := uint64(uint32(ins.Imm64 >> 32))
-				rewriteImm64(ins, m.ValueAllocation().BaseAddr+off)
-			case isa.PseudoBTFID:
-				if cfg.BTFVarAddr == nil {
-					return nil, false
-				}
-				rewriteImm64(ins, cfg.BTFVarAddr(int32(ins.Imm64)))
-			}
-		}
-		if probeMem[i] && ins.IsMemLoad() {
-			ins.Meta.ProbeMem = true
-		}
-	}
-	return out, true
-}
+// errStaleFixup marks a cache hit whose program no longer fixes up. The
+// hit falls back to scratch verification, which produces the real
+// rejection.
+var errStaleFixup = errors.New("verifier: cached program no longer fixes up")
 
-// PrefixSnapshot is the abstract state at the end of a program's trace
-// prefix: the forced single-path execution from instruction 0 through
-// straight-line code, unconditional jumps, bpf-to-bpf calls, and subframe
-// returns, stopping at the first point where control flow can fork (a
-// conditional jump), end (main-frame exit), or re-enter an already-traced
-// instruction. Every exploration of the program executes exactly this
-// trace first, so the whole env side state at the boundary is well
-// defined and a resumed verification is bit-identical to a scratch one.
+// staleFixup is materialize's reject callback for fixupProgram.
+func staleFixup(int, int, string, ...interface{}) error { return errStaleFixup }
+
+// PrefixSnapshot is the abstract state at the end of a program's linear
+// prefix: the instructions [0, Len) that come before the first jump-class
+// instruction other than a helper or kfunc call. Every exploration of the
+// program executes exactly this run first, on a single path, so the whole
+// env side state at the boundary is well defined and a resumed
+// verification is bit-identical to a scratch one. The run contains no
+// jump, so it records no prune snapshot and issues no snapshot id.
 //
 // Prefix snapshots hold *maps.Map pointers (inside State registers) and are
 // therefore never serialized into checkpoints; they are rebuilt cheaply
 // after a resume. Map references are rebound by FD on every application.
 type PrefixSnapshot struct {
-	// Canon is the canonical byte form of the trace (attrs + executed
-	// insns with pcs + boundary pc); LookupPrefix compares it exactly.
+	// Canon is the canonical byte form of the prefix (attrs + insns[:Len]);
+	// LookupPrefix compares it exactly.
 	Canon []byte
-	// Len is the trace length in executed instructions.
+	// Len is the prefix length in decoded instructions.
 	Len int
 
-	// State is the abstract machine state at the boundary (State.Insn is
-	// the boundary pc). It is a deep private copy; apply clones it again
-	// per use.
+	// State is the abstract machine state at the boundary (State.Insn ==
+	// Len). It is a deep private copy; apply clones it again per use.
 	State *State
-
-	// Visited lists the prune snapshots the trace run recorded (one per
-	// unconditional-jump target), in ascending instruction order, each
-	// with the snapshot id the run issued for it. SnapCounter is the
-	// env's id counter at the boundary. Restoring these exactly keeps the
-	// resumed exploration's prune and loop-detection decisions (which
-	// compare ids against State.Ancestry) bit-identical to scratch.
-	Visited     []PrefixVisited
-	SnapCounter uint64
 
 	// Env side state at the boundary, in compact form: only the entries
 	// the prefix run actually set, in instruction order.
@@ -299,23 +258,10 @@ type PrefixInsnType struct {
 	T    int32
 }
 
-// PrefixVisited is one prune snapshot a trace run recorded: the pc it is
-// keyed under, the snapshot id issued for it (referenced by descendant
-// states' Ancestry lists for loop detection), and a deep private copy of
-// the recorded state.
-type PrefixVisited struct {
-	Insn  int32
-	ID    uint64
-	State *State
-}
-
 // EstimateBytes approximates the snapshot's footprint for cache counters.
 func (s *PrefixSnapshot) EstimateBytes() int {
 	n := 160 + len(s.Canon)
 	n += len(s.State.Frames) * 2200 // FuncState: 11 regs + 64 stack slots
-	for _, v := range s.Visited {
-		n += 24 + len(v.State.Frames)*2200
-	}
 	n += len(s.InsnRegType) * 8
 	n += len(s.RangeChecks) * 40
 	n += len(s.AluScalarPath) * 4
@@ -329,160 +275,53 @@ func (s *PrefixSnapshot) EstimateBytes() int {
 // bookkeeping costs more than re-simulating the instructions.
 const minPrefixInsns = 4
 
-// maxTracePrefixInsns bounds the trace walk: beyond this the canonical
-// byte form and the snapshot clone stop paying for themselves, and a
-// bound keeps the per-trace canon size O(1) with respect to the
-// instruction budget.
+// maxTracePrefixInsns bounds the prefix: beyond this the canonical byte
+// form and the snapshot stop paying for themselves, and a bound keeps the
+// per-prefix canon size O(1) with respect to the instruction budget.
 const maxTracePrefixInsns = 512
 
-// tracePrefix statically computes the program's forced execution trace:
-// the sequence of pcs every exploration executes, in order, before the
-// first point where control flow can fork. It mirrors checkJmp's op-based
-// dispatch exactly (which is class-agnostic for EXIT/CALL/JA):
-//
-//   - non-jump classes and helper/kfunc/invalid calls execute and
-//     continue at pc+1 (a rejecting call rejects the trace run the same
-//     way it rejects a scratch run);
-//   - bpf-to-bpf calls push the callsite and continue at the callee,
-//     unless the target is invalid or already traced, or the frame stack
-//     is at the kernel limit — executing any of those would fork into a
-//     rejection the boundary state reproduces after resume;
-//   - EXIT pops to callsite+1 in a subframe and is a boundary in the
-//     main frame;
-//   - JA continues at its target unless the target is invalid or already
-//     traced;
-//   - conditional jumps are always a boundary.
-//
-// Stopping before any already-traced pc gives the invariant that every pc
-// executes at most once, so the trace run's pruneOrRecord calls (at JA
-// targets) never hit an existing snapshot and never detect a loop — each
-// records exactly one fresh snapshot, which capture/apply replay.
-//
-// Returns the executed pcs and the boundary pc (where the resumed
-// worklist exploration continues; may be len(insns) for a fall-through
-// past the last instruction, which the resumed run rejects identically
-// to a scratch one).
-func (e *env) tracePrefix() ([]int32, int) {
-	n := len(e.prog.Insns)
-	e.traceSeen = growBools(e.traceSeen, n)
-	pcs := e.tracePCs[:0]
-	defer func() { e.tracePCs = pcs[:0] }()
-	var csArr [maxCallFrames]int
-	callSites := csArr[:0]
-	pc := 0
-	for pc >= 0 && pc < n && !e.traceSeen[pc] && len(pcs) < maxTracePrefixInsns {
-		ins := e.prog.Insns[pc]
-		next := pc + 1
-		if cls := ins.Class(); cls == isa.ClassJMP || cls == isa.ClassJMP32 {
-			switch isa.Op(ins.Opcode) {
-			case isa.EXIT:
-				if len(callSites) == 0 {
-					return pcs, pc // main-frame exit ends the path
-				}
-				next = callSites[len(callSites)-1] + 1
-				callSites = callSites[:len(callSites)-1]
-			case isa.CALL:
-				if ins.IsPseudoCall() {
-					tgt := e.jumpTarget(pc, ins.Imm)
-					if tgt < 0 || e.traceSeen[tgt] || len(callSites)+1 >= maxCallFrames {
-						return pcs, pc
-					}
-					callSites = append(callSites, pc)
-					next = tgt
-				}
-				// Helper/kfunc/invalid calls are single-path: checkCall
-				// resumes at pc+1 (or rejects, ending verification).
-			case isa.JA:
-				tgt := e.jumpTarget(pc, int32(ins.Off))
-				if tgt < 0 || e.traceSeen[tgt] {
-					return pcs, pc
-				}
-				next = tgt
-			default:
-				return pcs, pc // conditional jump: the path forks here
-			}
+// tracePrefix returns the length of the program's linear prefix: the
+// instructions from 0 up to the first jump-class instruction that is not
+// a helper or kfunc call (checkCall resumes those at i+1 on the same
+// state, or rejects), at most maxTracePrefixInsns. A jump later in the
+// program may re-enter the prefix; that is harmless, because the prefix
+// run leaves no prune snapshot behind for the re-entry to meet.
+func (e *env) tracePrefix() int {
+	n := min(len(e.prog.Insns), maxTracePrefixInsns)
+	for i := 0; i < n; i++ {
+		ins := &e.prog.Insns[i]
+		if isa.IsJmpClass(ins.Class()) && !ins.IsHelperCall() && !ins.IsKfuncCall() {
+			return i
 		}
-		e.traceSeen[pc] = true
-		pcs = append(pcs, int32(pc))
-		pc = next
 	}
-	return pcs, pc
+	return n
 }
 
-// runTrace simulates the forced trace pcs on st, mirroring runPath's
-// per-instruction sequence exactly (budget check, watchdog cadence, class
-// dispatch) so a scratch run and the run that captured a snapshot account
-// identically. JA jumps, bpf-to-bpf calls, and subframe exits go through
-// checkJmp like anywhere else — including the pruneOrRecord snapshot at
-// each JA target — which is what makes the captured env state complete.
-func (e *env) runTrace(st *State, pcs []int32) error {
-	for k := 0; k < len(pcs); k++ {
-		i := st.Insn
-		if i != int(pcs[k]) {
-			// Cannot happen: the builder mirrors the interpreter's control
-			// flow. Reject loudly rather than capture a wrong snapshot.
-			return e.reject(i, EINVAL, "internal: trace diverged at step %d", k)
+// runTrace simulates the linear prefix [0, n) on st through step, the
+// same per-instruction sequence runPath uses, so a scratch run and the
+// run that captures a snapshot account identically.
+func (e *env) runTrace(st *State, n int) error {
+	for i := st.Insn; i < n; i = st.Insn {
+		done, sibling, err := e.step(st, i)
+		if err != nil {
+			return err
 		}
-		e.insnProcessed++
-		if e.insnProcessed > e.cfg.MaxInsnProcessed {
-			return e.reject(i, E2BIG, "BPF program is too large: processed %d insn", e.insnProcessed)
-		}
-		if e.insnProcessed&255 == 0 {
-			if err := e.watchdog(); err != nil {
-				return err
-			}
-		}
-		ins := e.prog.Insns[i]
-		switch ins.Class() {
-		case isa.ClassALU, isa.ClassALU64:
-			if err := e.checkALU(st, i, ins); err != nil {
-				return err
-			}
-			st.Insn = i + 1
-
-		case isa.ClassLD:
-			if err := e.checkLDImm(st, i, ins); err != nil {
-				return err
-			}
-			st.Insn = i + 1
-
-		case isa.ClassLDX:
-			if err := e.checkMemAccess(st, i, ins, false); err != nil {
-				return err
-			}
-			st.Insn = i + 1
-
-		case isa.ClassST, isa.ClassSTX:
-			if err := e.checkMemAccess(st, i, ins, true); err != nil {
-				return err
-			}
-			st.Insn = i + 1
-
-		case isa.ClassJMP, isa.ClassJMP32:
-			// Conditional jumps are never in a trace, JA targets are
-			// first visits (never pruned), so done/sibling are impossible.
-			done, sibling, err := e.checkJmp(st, i, ins)
-			if err != nil {
-				return err
-			}
-			if done || sibling != nil {
-				return e.reject(i, EINVAL, "internal: branch inside trace prefix")
-			}
+		if done || sibling != nil {
+			// Cannot happen: the prefix holds no jump, and helper and
+			// kfunc calls resume at i+1 on the same state.
+			return e.reject(i, EINVAL, "internal: branch inside trace prefix")
 		}
 	}
 	return nil
 }
 
 // capturePrefix snapshots the boundary state after a scratch runTrace of
-// nExec instructions. Everything captured is deep-copied so later
+// the first n instructions. Everything captured is deep-copied so later
 // exploration (and state/env pooling) cannot mutate the published
-// snapshot. The env scratch tables are walked over the whole program — a
-// trace jumps arbitrarily, so live entries are not confined to a prefix
-// range — and compacted to just the live entries, in instruction order.
-// The prune snapshots the trace recorded at JA targets are captured with
-// their issued ids, so a resumed exploration reconstructs the exact
-// visited-table and Ancestry relationships of a scratch run.
-func (e *env) capturePrefix(st *State, canon []byte, nExec int) *PrefixSnapshot {
+// snapshot. The env scratch tables are walked only up to the boundary —
+// the prefix run cannot have touched anything beyond it — and compacted to
+// just the live entries, in instruction order.
+func (e *env) capturePrefix(st *State, canon []byte, n int) *PrefixSnapshot {
 	var fds []int32
 	if len(e.usedMaps) > 0 {
 		fds = make([]int32, len(e.usedMaps))
@@ -492,16 +331,15 @@ func (e *env) capturePrefix(st *State, canon []byte, nExec int) *PrefixSnapshot 
 	}
 	snap := &PrefixSnapshot{
 		Canon:         canon,
-		Len:           nExec,
+		Len:           n,
 		State:         st.Clone(),
-		SnapCounter:   e.snapCounter,
 		InsnProcessed: e.insnProcessed,
 		IDCounter:     e.idCounter,
 		RefCounter:    e.refCounter,
 		UsedMapFDs:    fds,
 		Cov:           e.lcov.Export(),
 	}
-	for i := range e.prog.Insns {
+	for i := 0; i < n; i++ {
 		if t := e.insnRegType[i]; t != 0 {
 			snap.InsnRegType = append(snap.InsnRegType, PrefixInsnType{Insn: int32(i), T: t})
 		}
@@ -514,73 +352,35 @@ func (e *env) capturePrefix(st *State, canon []byte, nExec int) *PrefixSnapshot 
 		if e.probeMem[i] {
 			snap.ProbeMem = append(snap.ProbeMem, int32(i))
 		}
-		for _, sn := range e.visited[i] {
-			snap.Visited = append(snap.Visited, PrefixVisited{
-				Insn: int32(i), ID: sn.id, State: sn.state.Clone(),
-			})
-		}
 	}
 	return snap
 }
 
 // applyPrefixSnapshot restores snap into e and returns the boundary state
 // to seed the worklist with. ok == false means a map FD could not be
-// rebound; the caller re-simulates the trace from scratch. All rebinds —
-// the map set, the boundary state, and every visited prune snapshot —
+// rebound; the caller re-simulates the prefix from scratch. All rebinds
 // are resolved before e is mutated, so a failed application leaves the
 // env untouched.
 func (e *env) applyPrefixSnapshot(snap *PrefixSnapshot) (*State, bool) {
 	resolved := make([]*maps.Map, len(snap.UsedMapFDs))
 	for i, fd := range snap.UsedMapFDs {
-		m := e.mapByFD(fd)
+		m := e.cfg.mapByFD(fd)
 		if m == nil {
 			return nil, false
 		}
 		resolved[i] = m
 	}
-	// Deep-clone through the env pools; the snapshot's own states are
-	// shared across verifications and must never be mutated.
+	// Deep-clone through the env pools; the snapshot's own state is shared
+	// across verifications and must never be mutated.
 	st := e.cloneState(snap.State)
 	if !e.rebindState(st) {
 		e.releaseState(st)
 		return nil, false
 	}
-	var vstates []*State
-	if len(snap.Visited) > 0 {
-		vstates = make([]*State, len(snap.Visited))
-		for i := range snap.Visited {
-			vs := e.cloneState(snap.Visited[i].State)
-			if !e.rebindState(vs) {
-				e.releaseState(vs)
-				for _, p := range vstates[:i] {
-					e.releaseState(p)
-				}
-				e.releaseState(st)
-				return nil, false
-			}
-			vstates[i] = vs
-		}
-	}
-	// The clones inherited the snapshot's fingerprint caches, but the
-	// rebind above swapped map identities (KernAddr feeds the
-	// contributions), so the cached terms are stale for this kernel.
-	st.fpInvalidate()
 	// Point of no return: e is only mutated below.
 	e.insnProcessed = snap.InsnProcessed
 	e.idCounter = snap.IDCounter
 	e.refCounter = snap.RefCounter
-	e.snapCounter = snap.SnapCounter
-	for i := range snap.Visited {
-		v := &snap.Visited[i]
-		vs := vstates[i]
-		// Recompute the prune fingerprint on the rebound clone: it must
-		// equal what a scratch run computes against the current kernel's
-		// map addresses, not what the capturing run computed.
-		vs.fpInvalidate()
-		e.visited[v.Insn] = append(e.visited[v.Insn], snapshot{
-			id: v.ID, fp: stateFingerprint(vs), state: vs,
-		})
-	}
 	for _, it := range snap.InsnRegType {
 		e.insnRegType[it.Insn] = it.T
 	}
@@ -629,7 +429,7 @@ func (e *env) rebindReg(reg *RegState) bool {
 	if reg.Map == nil {
 		return true
 	}
-	m := e.mapByFD(reg.Map.FD)
+	m := e.cfg.mapByFD(reg.Map.FD)
 	if m == nil {
 		return false
 	}
@@ -644,39 +444,38 @@ func (e *env) exportCov(dst *[]coverage.SiteCount) {
 	*dst = e.lcov.Export()
 }
 
-// prefixPrepass runs the verdict-cache incremental path: compute the
-// forced execution trace, resume from a memoized boundary snapshot when
-// one matches, otherwise simulate the trace once and publish the
-// snapshot. It returns the state to seed the worklist with.
+// prefixPrepass runs the verdict-cache incremental path: find the linear
+// prefix, resume from a memoized boundary snapshot when one matches,
+// otherwise simulate the prefix once and publish the snapshot. It returns
+// the state to seed the worklist with.
 //
-// Capture is gated on recurrence: the first sighting of a trace
+// Capture is gated on recurrence: the first sighting of a prefix
 // fingerprint only notes it (a streamed hash, no allocation) and lets the
-// normal worklist exploration run the trace — runTrace mirrors runPath
-// instruction for instruction, so the two routes are bit-identical. Only
-// a trace seen a second time pays for canonical bytes, the boundary
-// simulation, and the deep state clones the snapshot retains. One-shot
-// traces — the overwhelming majority under a mutating generator — thus
-// cost the cache nothing.
+// normal worklist exploration run the prefix — runTrace and runPath share
+// step, so the two routes are bit-identical. Only a prefix seen a second
+// time pays for canonical bytes, the boundary simulation, and the deep
+// state clone the snapshot retains. One-shot prefixes — the overwhelming
+// majority under a mutating generator — thus cost the cache nothing.
 func (e *env) prefixPrepass(st *State) (*State, error) {
-	pcs, end := e.tracePrefix()
-	if len(pcs) < minPrefixInsns {
+	n := e.tracePrefix()
+	if n < minPrefixInsns {
 		return st, nil
 	}
-	fp := traceFingerprint(e.prog, pcs, end)
+	fp := traceFingerprint(e.prog, n)
 	if !e.cfg.Cache.NotePrefix(fp) {
 		return st, nil
 	}
-	canon := canonicalTraceBytes(e.prog, pcs, end)
+	canon := canonicalTraceBytes(e.prog, n)
 	if snap := e.cfg.Cache.LookupPrefix(fp, canon); snap != nil {
 		if rst, ok := e.applyPrefixSnapshot(snap); ok {
 			e.releaseState(st)
 			return rst, nil
 		}
 	}
-	if err := e.runTrace(st, pcs); err != nil {
+	if err := e.runTrace(st, n); err != nil {
 		e.releaseState(st)
 		return nil, err
 	}
-	e.cfg.Cache.InsertPrefix(fp, e.capturePrefix(st, canon, len(pcs)))
+	e.cfg.Cache.InsertPrefix(fp, e.capturePrefix(st, canon, n))
 	return st, nil
 }

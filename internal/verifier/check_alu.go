@@ -57,9 +57,6 @@ func (e *env) checkALU(st *State, i int, ins isa.Instruction) error {
 	if err := e.checkRegWrite(st, i, ins.Dst); err != nil {
 		return err
 	}
-	// Every ALU form writes (at most) Dst; mark it once for the sparse
-	// fingerprint cache rather than at each of the write sites below.
-	st.touchReg(ins.Dst)
 
 	switch op {
 	case isa.ALUEnd:

@@ -39,10 +39,6 @@ func (e *env) checkHelperCall(st *State, i int, ins isa.Instruction) error {
 		return e.reject(i, EINVAL, "invalid func unknown#%d", ins.Imm)
 	}
 	e.covName(helperCallSites, "call:", h.Name)
-	// A helper call can rewrite R0-R5 plus any register holding a released
-	// reference; mark the whole file dirty for the sparse fingerprint cache
-	// (refreshing a clean register is merely redundant work, never wrong).
-	st.touchAllRegs()
 	if err := h.AllowedFor(e.prog.Type, e.prog.GPLCompatible); err != nil {
 		e.cov("call:gated")
 		return e.reject(i, EACCES, "%v", err)
@@ -326,9 +322,6 @@ func (e *env) checkKfuncCall(st *State, i int, ins isa.Instruction) error {
 		return e.reject(i, EINVAL, "kernel function #%d is not allowed", ins.Imm)
 	}
 	e.covName(kfuncCallSites, "kfunc:", k.Name)
-	// Kfuncs clobber R0-R5 and released-reference copies; see the helper
-	// path for why whole-file dirtying is the right grain here.
-	st.touchAllRegs()
 	var releasedRef uint32
 	for ai, p := range k.Params {
 		reg := st.Reg(isa.R1 + uint8(ai))
@@ -439,9 +432,6 @@ func (e *env) checkPseudoCall(st *State, i int, ins isa.Instruction) error {
 	callee.Regs[isa.R10] = RegState{Type: PtrToStack}
 	callee.Regs[isa.R10].zeroVar()
 	st.Frames = append(st.Frames, callee)
-	// The frame structure changed: the dirty mask's current-frame indexing
-	// no longer matches the cached contributions.
-	st.fpInvalidate()
 	st.Insn = tgt
 	return nil
 }

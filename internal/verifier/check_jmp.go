@@ -537,7 +537,6 @@ func (e *env) markPtrOrNullRegs(st *State, id uint32, isNull bool) {
 	for r := 0; r < isa.NumReg; r++ {
 		reg := &f.Regs[r]
 		if reg.MaybeNull && reg.ID == id {
-			st.touchReg(uint8(r))
 			if isNull {
 				// A null acquired pointer carries no reference;
 				// drop it, as mark_ptr_or_null_reg does.
@@ -640,9 +639,6 @@ func (e *env) checkExit(st *State, i int) (bool, *State, error) {
 		for r := isa.R1; r <= isa.R5; r++ {
 			caller.Regs[r].markNotInit()
 		}
-		// Frame pop: the fingerprint cache's current-frame dirty mask no
-		// longer lines up; drop the whole cache.
-		st.fpInvalidate()
 		st.Insn = callSite + 1
 		return false, nil, nil
 	}

@@ -33,7 +33,6 @@ func (e *env) checkMemAccess(st *State, i int, ins isa.Instruction, isStore bool
 		if err := e.checkRegWrite(st, i, ins.Dst); err != nil {
 			return err
 		}
-		st.touchReg(ins.Dst)
 	}
 
 	reg := *st.Reg(base)
@@ -387,7 +386,6 @@ func (e *env) checkAtomic(st *State, i int, ins isa.Instruction) error {
 	// Fetch variants clobber the source register with the old value;
 	// cmpxchg clobbers R0.
 	if ins.Imm&isa.AtomicFetch != 0 || ins.Imm == isa.AtomicXchg {
-		st.touchReg(ins.Src)
 		r := st.Reg(ins.Src)
 		*r = unknownScalar()
 		if size < 8 {
@@ -395,7 +393,6 @@ func (e *env) checkAtomic(st *State, i int, ins isa.Instruction) error {
 		}
 	}
 	if ins.Imm == isa.AtomicCmpXchg {
-		st.touchReg(isa.R0)
 		r := st.Reg(isa.R0)
 		*r = unknownScalar()
 		if size < 8 {

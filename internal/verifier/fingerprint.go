@@ -57,19 +57,14 @@ func CanonicalProgramBytes(p *isa.Program) []byte {
 }
 
 // canonicalTraceBytes serializes the verification-relevant identity of a
-// forced execution trace: program attributes that shape the entry state
-// and helper availability (type, attach target, license — the name never
-// influences verification), then each executed instruction with its pc,
-// then the boundary pc. The pcs matter, not just the instruction bytes:
-// jump targets go through slot arithmetic over the *unexecuted* insns
-// between them, and the prune snapshots a trace run records are keyed by
-// pc — two programs whose traces execute identical bytes at different
-// positions must not share a snapshot. The boundary pc is included for
-// the same reason: when the last executed instruction is a jump, call,
-// or subframe exit, where the resumed exploration continues depends on
-// slot layout the executed bytes alone do not pin.
-func canonicalTraceBytes(p *isa.Program, pcs []int32, end int) []byte {
-	out := make([]byte, 0, 16+len(p.AttachTo)+22*len(pcs))
+// program's linear prefix of n instructions (cache.go tracePrefix): the
+// program attributes that shape the entry state and helper availability
+// (type, license, attach target — the name never influences
+// verification), then the first n instructions. A linear prefix always
+// runs pcs 0..n-1 in order and ends at pc n, so its length pins every
+// position the run depends on.
+func canonicalTraceBytes(p *isa.Program, n int) []byte {
+	out := make([]byte, 0, 16+len(p.AttachTo)+18*n)
 	out = append(out, byte(p.Type))
 	if p.GPLCompatible {
 		out = append(out, 1)
@@ -77,12 +72,7 @@ func canonicalTraceBytes(p *isa.Program, pcs []int32, end int) []byte {
 		out = append(out, 0)
 	}
 	out = appendString(out, p.AttachTo)
-	out = appendU32(out, uint32(len(pcs)))
-	for _, pc := range pcs {
-		out = appendU32(out, uint32(pc))
-		out = appendOneInsn(out, &p.Insns[pc])
-	}
-	return appendU32(out, uint32(end))
+	return appendInsnBytes(out, p.Insns[:n])
 }
 
 func appendString(out []byte, s string) []byte {
@@ -146,13 +136,13 @@ func fpInsn(h uint64, ins *isa.Instruction) uint64 {
 	return fpByte(h, insnMetaByte(ins))
 }
 
-// traceFingerprint computes fpBytes(canonicalTraceBytes(p, pcs, end))
-// without materializing the canonical bytes — the first sighting of a
-// trace hashes it allocation-free, and only recurring traces (which the
-// cache will actually store or look up) build the byte form. The two
-// functions must fold the identical byte sequence;
-// TestTraceFingerprintStreaming pins that.
-func traceFingerprint(p *isa.Program, pcs []int32, end int) uint64 {
+// traceFingerprint computes fpBytes(canonicalTraceBytes(p, n)) without
+// materializing the canonical bytes — the first sighting of a prefix
+// hashes it allocation-free, and only recurring prefixes (which the cache
+// will actually store or look up) build the byte form. The two functions
+// must fold the identical byte sequence; TestTraceFingerprintStreaming
+// pins that.
+func traceFingerprint(p *isa.Program, n int) uint64 {
 	h := uint64(fpOffset64)
 	h = fpByte(h, byte(p.Type))
 	if p.GPLCompatible {
@@ -164,12 +154,11 @@ func traceFingerprint(p *isa.Program, pcs []int32, end int) uint64 {
 	for i := 0; i < len(p.AttachTo); i++ {
 		h = fpByte(h, p.AttachTo[i])
 	}
-	h = fpU32(h, uint32(len(pcs)))
-	for _, pc := range pcs {
-		h = fpU32(h, uint32(pc))
-		h = fpInsn(h, &p.Insns[pc])
+	h = fpU32(h, uint32(n))
+	for i := 0; i < n; i++ {
+		h = fpInsn(h, &p.Insns[i])
 	}
-	return fpU32(h, uint32(end))
+	return h
 }
 
 // fpByte folds one byte into an FNV-1a running hash.
@@ -291,15 +280,26 @@ func u32At(b []byte) uint32 {
 	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 }
 
-// regFPContrib folds one register's rigid identity, keyed by its
-// (frame, register) position, into a single 64-bit contribution. The
-// state fingerprint is the XOR of these contributions combined with the
-// cheap structural base (stateFPBase). XOR composition is what makes
-// the cache incremental: rewriting one register replaces exactly one
-// term, so pruneOrRecord refreshes only the registers the interpreter
-// dirtied since the previous prune comparison.
-func regFPContrib(fi, r int, reg *RegState) uint64 {
-	h := fpMix(fpOffset64, uint64(fi)<<8|uint64(r))
+// stateFingerprint folds the rigid structure of s into 64 bits: frame and
+// reference counts, then per frame its call site and each register's type
+// and identity fields. It is a full walk on every call; pruneOrRecord
+// computes it once per prune check.
+func stateFingerprint(s *State) uint64 {
+	h := uint64(fpOffset64)
+	h = fpMix(h, uint64(len(s.Frames)))
+	h = fpMix(h, uint64(len(s.Refs)))
+	for _, f := range s.Frames {
+		h = fpMix(h, uint64(int64(f.CallSite)))
+		for r := range f.Regs {
+			h = fpReg(h, &f.Regs[r])
+		}
+	}
+	return h
+}
+
+// fpReg folds one register's type and the identity fields stateSubsumes
+// requires to be equal for that type.
+func fpReg(h uint64, reg *RegState) uint64 {
 	h = fpMix(h, uint64(reg.Type))
 	switch reg.Type {
 	case PtrToStack, PtrToCtx, PtrToPacket:
@@ -317,67 +317,4 @@ func regFPContrib(fi, r int, reg *RegState) uint64 {
 		h = fpMix(h, uint64(reg.MemSize))
 	}
 	return h
-}
-
-// stateFPBase folds the frame/reference structure: frame count, ref
-// count, per-frame call sites. O(frames), recomputed on every
-// fingerprint read — tracking it incrementally would cost more than the
-// walk.
-func stateFPBase(s *State) uint64 {
-	h := uint64(fpOffset64)
-	h = fpMix(h, uint64(len(s.Frames)))
-	h = fpMix(h, uint64(len(s.Refs)))
-	for _, f := range s.Frames {
-		h = fpMix(h, uint64(int64(f.CallSite)))
-	}
-	return h
-}
-
-// stateFingerprint folds the rigid structure of s into 64 bits,
-// refreshing the per-register contribution cache sparsely: a state with
-// a valid cache and a clean dirty mask costs O(frames); a dirty state
-// recomputes only the dirtied current-frame registers. Frame pushes and
-// pops invalidate the whole cache (State.fpInvalidate), so dirty bits
-// always refer to the frame that was current when they were set.
-func stateFingerprint(s *State) uint64 {
-	if !s.fpOK {
-		x := uint64(0)
-		for fi, f := range s.Frames {
-			for r := range f.Regs {
-				c := regFPContrib(fi, r, &f.Regs[r])
-				f.fpc[r] = c
-				x ^= c
-			}
-		}
-		s.fpXor = x
-		s.fpOK = true
-		s.fpDirty = 0
-	} else if s.fpDirty != 0 {
-		fi := len(s.Frames) - 1
-		f := s.Frames[fi]
-		for r := 0; r < isa.NumReg; r++ {
-			if s.fpDirty&(1<<r) == 0 {
-				continue
-			}
-			c := regFPContrib(fi, r, &f.Regs[r])
-			s.fpXor ^= f.fpc[r] ^ c
-			f.fpc[r] = c
-		}
-		s.fpDirty = 0
-	}
-	return fpMix(stateFPBase(s), s.fpXor)
-}
-
-// stateFingerprintFresh is the cache-free reference implementation:
-// a full walk that neither reads nor writes the contribution caches.
-// The fpAudit cross-check (pruneOrRecord) and the incremental-soundness
-// tests compare it against stateFingerprint.
-func stateFingerprintFresh(s *State) uint64 {
-	x := uint64(0)
-	for fi, f := range s.Frames {
-		for r := range f.Regs {
-			x ^= regFPContrib(fi, r, &f.Regs[r])
-		}
-	}
-	return fpMix(stateFPBase(s), x)
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"repro/internal/asm"
 	"repro/internal/bugs"
 	"repro/internal/isa"
 )
@@ -157,87 +156,187 @@ func TestCanonicalProgramBytesStringBoundaries(t *testing.T) {
 }
 
 // TestTraceFingerprintStreaming pins that the allocation-free streaming
-// trace hash folds exactly the bytes canonicalTraceBytes materializes —
+// prefix hash folds exactly the bytes canonicalTraceBytes materializes —
 // the two must never drift, or the recurrence filter and the snapshot
-// store would disagree about trace identity. The pc sequences are
-// arbitrary (the hash does not care that they came from a real control-
-// flow walk), including repeated and out-of-order pcs.
+// store would disagree about prefix identity. Every prefix length of
+// each program is checked, including 0 and the whole program.
 func TestTraceFingerprintStreaming(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 42, 99, 12345} {
 		p := fpTestProgram(seed, 1+int(seed%14))
-		x := seed*2654435761 | 1
-		next := func() uint64 {
-			x = x*6364136223846793005 + 1442695040888963407
-			return x
-		}
-		for trial := 0; trial < 8; trial++ {
-			pcs := make([]int32, next()%uint64(len(p.Insns)+1))
-			for i := range pcs {
-				pcs[i] = int32(next() % uint64(len(p.Insns)))
-			}
-			end := int(next() % uint64(len(p.Insns)+1))
-			want := fpBytes(canonicalTraceBytes(p, pcs, end))
-			if got := traceFingerprint(p, pcs, end); got != want {
-				t.Fatalf("seed %d trial %d: streaming fp %#x != canonical fp %#x", seed, trial, got, want)
+		for n := 0; n <= len(p.Insns); n++ {
+			want := fpBytes(canonicalTraceBytes(p, n))
+			if got := traceFingerprint(p, n); got != want {
+				t.Fatalf("seed %d length %d: streaming fp %#x != canonical fp %#x", seed, n, got, want)
 			}
 		}
 	}
 }
 
-// TestCanonicalTraceBytesPCSensitivity pins that the trace canon depends
-// on the executed pcs and the boundary pc, not just the instruction
-// bytes: the slot arithmetic behind jump targets and the pc-keyed prune
-// snapshots make two position-shifted traces semantically different even
-// when their instruction bytes match.
+// TestCanonicalTraceBytesPCSensitivity pins what the prefix canon depends
+// on. A prefix runs pcs 0..n-1 and ends at pc n, so the canon must move
+// with the boundary pc n and with the order of the executed instructions,
+// and with the attributes that shape the run (type, license, attach
+// target). It must not move with the program name or with instructions
+// at or after the boundary, which the prefix run never reads — that is
+// what lets sibling mutants that differ only past the boundary share one
+// snapshot.
 func TestCanonicalTraceBytesPCSensitivity(t *testing.T) {
 	p := fpTestProgram(3, 8)
-	// Make two positions hold identical instructions.
-	p.Insns[5] = p.Insns[2]
-	a := canonicalTraceBytes(p, []int32{0, 1, 2}, 3)
-	b := canonicalTraceBytes(p, []int32{0, 1, 5}, 3)
-	if bytes.Equal(a, b) {
-		t.Fatal("trace canon ignores executed pcs")
+	base := canonicalTraceBytes(p, 5)
+	moved := map[string][]byte{
+		"boundary pc": canonicalTraceBytes(p, 4),
 	}
-	c := canonicalTraceBytes(p, []int32{0, 1, 2}, 6)
-	if bytes.Equal(a, c) {
-		t.Fatal("trace canon ignores the boundary pc")
+	swapped := cloneProgram(p)
+	swapped.Insns[1], swapped.Insns[2] = swapped.Insns[2], swapped.Insns[1]
+	moved["insn order"] = canonicalTraceBytes(swapped, 5)
+	for name, mutate := range map[string]func(*isa.Program){
+		"type":   func(q *isa.Program) { q.Type++ },
+		"gpl":    func(q *isa.Program) { q.GPLCompatible = !q.GPLCompatible },
+		"attach": func(q *isa.Program) { q.AttachTo = "sys_exit" },
+		"insn":   func(q *isa.Program) { q.Insns[4].Imm ^= 1 },
+	} {
+		q := cloneProgram(p)
+		mutate(q)
+		moved[name] = canonicalTraceBytes(q, 5)
+	}
+	for name, c := range moved {
+		if bytes.Equal(c, base) {
+			t.Errorf("%s: prefix canon unchanged", name)
+		}
+	}
+	for name, mutate := range map[string]func(*isa.Program){
+		"name":           func(q *isa.Program) { q.Name = "other" },
+		"boundary insn":  func(q *isa.Program) { q.Insns[5].Imm ^= 1 },
+		"insn past it":   func(q *isa.Program) { q.Insns[7].Opcode ^= 1 },
+		"drop last insn": func(q *isa.Program) { q.Insns = q.Insns[:7] },
+	} {
+		q := cloneProgram(p)
+		mutate(q)
+		if !bytes.Equal(canonicalTraceBytes(q, 5), base) {
+			t.Errorf("%s: prefix canon changed by a field the prefix run never reads", name)
+		}
 	}
 }
 
-// TestStateFingerprintIncrementalAudit re-runs the entire selftest corpus
-// — helper and kfunc calls, bpf-to-bpf frames, null-check branches,
-// packet-range refinement, reference release, the armed-bug knobs — with
-// the fpAudit cross-check enabled. Every pruneOrRecord comparison then
-// recomputes the state fingerprint from scratch and panics if the sparse
-// per-register contribution cache drifted from it, which is exactly the
-// failure mode of a register write site missing its touchReg marking.
+// exploreStates abstractly executes prog the way Verify does — through
+// step, with pruning and rejection — and returns a copy of every state an
+// explored path passes through, one per simulated instruction, up to
+// limit states. Programs Verify would reject before exploring yield none.
+func exploreStates(prog *isa.Program, cfg *Config, limit int) []*State {
+	if prog.Validate(isa.MaxInsns) != nil || (LayoutFor(prog.Type) == nil && prog.Type != isa.ProgTypeUnspec) {
+		return nil
+	}
+	cfg.MaxInsnProcessed, cfg.MaxStatesPerInsn = 100000, 16
+	e := getEnv(prog, cfg)
+	defer e.teardown()
+	var states []*State
+	work := []*State{e.newInitialStatePooled()}
+	for len(work) > 0 && len(states) < limit {
+		st := work[len(work)-1]
+		work = work[:len(work)-1]
+		for len(states) < limit && st.Insn >= 0 && st.Insn < len(prog.Insns) {
+			states = append(states, st.Clone())
+			done, sibling, err := e.step(st, st.Insn)
+			if err != nil || done {
+				break
+			}
+			if sibling != nil {
+				work = append(work, sibling)
+			}
+		}
+	}
+	return states
+}
+
+// checkSubsumesFingerprint asserts the invariant fingerprint-gated
+// pruning rests on (fingerprint.go): for every pair of states prog's
+// exploration passes through, stateSubsumes(old, new) implies
+// stateFingerprint(old) == stateFingerprint(new). A pair that breaks it
+// is one pruneOrRecord would skip without the deep compare that prunes
+// it.
+func checkSubsumesFingerprint(t *testing.T, prog *isa.Program, cfg *Config) {
+	t.Helper()
+	states := exploreStates(prog, cfg, 256)
+	fps := make([]uint64, len(states))
+	for i, s := range states {
+		fps[i] = stateFingerprint(s)
+	}
+	for i, old := range states {
+		for j, new := range states {
+			if fps[i] != fps[j] && stateSubsumes(old, new) {
+				t.Fatalf("state at insn %d subsumes state at insn %d but fingerprints differ (%#x vs %#x)\n%s",
+					old.Insn, new.Insn, fps[i], fps[j], prog)
+			}
+		}
+	}
+}
+
+// TestStateFingerprintIncrementalAudit audits the state fingerprint step
+// by step along every explored path of the selftest corpus — helper and
+// kfunc calls, bpf-to-bpf frames, null-check branches, packet-range
+// refinement, reference release, the armed-bug knobs — checking the
+// subsumption invariant over every pair of states each case passes
+// through.
 func TestStateFingerprintIncrementalAudit(t *testing.T) {
-	fpAudit = true
-	defer func() { fpAudit = false }()
 	for _, tc := range selftests {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			prog, err := asm.Assemble(tc.src)
-			if err != nil {
-				t.Fatalf("assemble: %v", err)
-			}
-			prog.Type = tc.progType
-			if prog.Type == isa.ProgTypeUnspec {
-				prog.Type = isa.ProgTypeSocketFilter
-			}
-			prog.AttachTo = tc.attachTo
-			prog.GPLCompatible = !tc.nonGPL
-			b := tc.bugs
-			if b == nil {
-				b = bugs.None()
-			}
-			cfg, done := selftestKernel(t, b)
+			cfg, done := selftestKernel(t, tc.armed())
 			defer done()
-			// The verdict is pinned by TestVerifierSelftests; here only the
-			// audit inside pruneOrRecord matters, and it panics on drift.
-			_, _ = Verify(prog, cfg)
+			checkSubsumesFingerprint(t, tc.program(t), cfg)
 		})
 	}
+}
+
+// FuzzStateSubsumesFingerprint checks the same invariant on arbitrary
+// decodable programs, under any program type, attach target, license and
+// combination of armed bug knobs (bit k of armed arms bugs.AllIDs()[k]).
+// The selftest corpus seeds it.
+func FuzzStateSubsumesFingerprint(f *testing.F) {
+	ids := bugs.AllIDs()
+	for i := range selftests {
+		tc := &selftests[i]
+		prog := tc.program(f)
+		var armed uint16
+		for k, id := range ids {
+			if tc.armed().Has(id) {
+				armed |= 1 << k
+			}
+		}
+		f.Add(programTypeIndex(prog.Type), prog.AttachTo, prog.GPLCompatible, armed, encodeProgram(prog))
+	}
+	cfg, done := selftestKernel(f, nil)
+	f.Cleanup(done)
+	f.Fuzz(func(t *testing.T, progType uint8, attachTo string, gpl bool, armed uint16, data []byte) {
+		insns := decodeInsns(data)
+		if len(insns) == 0 {
+			t.Skip("no decodable instructions")
+		}
+		prog := &isa.Program{
+			Type:          isa.AllProgramTypes[int(progType)%len(isa.AllProgramTypes)],
+			AttachTo:      attachTo,
+			GPLCompatible: gpl,
+			Insns:         insns,
+		}
+		c := *cfg
+		c.Bugs = bugs.None()
+		for k, id := range ids {
+			if armed&(1<<k) != 0 {
+				c.Bugs[id] = true
+			}
+		}
+		checkSubsumesFingerprint(t, prog, &c)
+	})
+}
+
+// programTypeIndex is t's index in isa.AllProgramTypes.
+func programTypeIndex(t isa.ProgramType) uint8 {
+	for i, pt := range isa.AllProgramTypes {
+		if pt == t {
+			return uint8(i)
+		}
+	}
+	return 0
 }
 
 // FuzzProgramFingerprintSingleByte asserts the no-collision property the

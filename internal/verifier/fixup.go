@@ -19,33 +19,44 @@ import (
 // sanitizer (internal/sanitizer) runs after this phase, exactly as the
 // paper inserts its instrumentation "at the end of the rewriting phase".
 func (e *env) fixup() (*isa.Program, error) {
-	out := e.prog.Clone()
+	return fixupProgram(e.prog, e.cfg, func(i int) bool { return e.probeMem[i] }, e.reject)
+}
+
+// fixupProgram is the rewrite loop itself, on a clone of prog. A scratch
+// verification runs it through env.fixup; a verdict-cache hit runs it
+// again on every hit (CachedVerdict.materialize), because the fixed-up
+// program embeds map addresses that change when the campaign recycles its
+// kernel. probeMem reports whether instruction i was checked through
+// PTR_TO_BTF_ID; reject builds the error for an instruction whose map or
+// BTF reference no longer resolves.
+func fixupProgram(prog *isa.Program, cfg *Config, probeMem func(i int) bool,
+	reject func(insn, errno int, format string, args ...interface{}) error) (*isa.Program, error) {
+	out := prog.Clone()
 	for i := range out.Insns {
 		ins := &out.Insns[i]
 		if ins.IsWide() {
 			switch ins.Src {
 			case isa.PseudoMapFD:
-				m := e.mapByFD(int32(ins.Imm64))
+				m := cfg.mapByFD(int32(ins.Imm64))
 				if m == nil {
-					return nil, e.reject(i, EINVAL, "fixup: stale map fd %d", int32(ins.Imm64))
+					return nil, reject(i, EINVAL, "fixup: stale map fd %d", int32(ins.Imm64))
 				}
 				rewriteImm64(ins, m.KernAddr)
 			case isa.PseudoMapValue:
-				m := e.mapByFD(int32(uint32(ins.Imm64)))
+				m := cfg.mapByFD(int32(uint32(ins.Imm64)))
 				if m == nil || m.Type != maps.Array {
-					return nil, e.reject(i, EINVAL, "fixup: stale map fd")
+					return nil, reject(i, EINVAL, "fixup: stale map fd")
 				}
 				off := uint64(uint32(ins.Imm64 >> 32))
 				rewriteImm64(ins, m.ValueAllocation().BaseAddr+off)
 			case isa.PseudoBTFID:
-				if e.cfg.BTFVarAddr == nil {
-					return nil, e.reject(i, EINVAL, "fixup: no btf var resolver")
+				if cfg.BTFVarAddr == nil {
+					return nil, reject(i, EINVAL, "fixup: no btf var resolver")
 				}
-				addr := e.cfg.BTFVarAddr(int32(ins.Imm64))
-				rewriteImm64(ins, addr)
+				rewriteImm64(ins, cfg.BTFVarAddr(int32(ins.Imm64)))
 			}
 		}
-		if e.probeMem[i] && ins.IsMemLoad() {
+		if ins.IsMemLoad() && probeMem(i) {
 			ins.Meta.ProbeMem = true
 		}
 	}

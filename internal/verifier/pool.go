@@ -62,7 +62,6 @@ func (e *env) cloneState(s *State) *State {
 	n.Refs = append(n.Refs[:0], s.Refs...)
 	n.Ancestry = append(n.Ancestry[:0], s.Ancestry...)
 	n.Insn = s.Insn
-	n.fpXor, n.fpOK, n.fpDirty = s.fpXor, s.fpOK, s.fpDirty
 	return n
 }
 
@@ -86,7 +85,6 @@ func (e *env) newInitialStatePooled() *State {
 	n.Refs = n.Refs[:0]
 	n.Ancestry = n.Ancestry[:0]
 	n.Insn = 0
-	n.fpXor, n.fpOK, n.fpDirty = 0, false, 0
 	return n
 }
 
@@ -116,7 +114,6 @@ func (e *env) adoptState(st, donor *State) {
 	st.Refs = donor.Refs
 	st.Ancestry = donor.Ancestry
 	st.Insn = donor.Insn
-	st.fpXor, st.fpOK, st.fpDirty = donor.fpXor, donor.fpOK, donor.fpDirty
 	// Hand st's old backing arrays to the donor shell and recycle it.
 	donor.Frames = oldFrames
 	donor.Refs = oldRefs

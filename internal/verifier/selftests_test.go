@@ -35,7 +35,7 @@ type selftest struct {
 
 // The shared map fixture: fd 3 = array(val 64), fd 4 = hash(key 8, val
 // 48), fd 5 = queue(val 16), fd 6 = prog_array, fd 7 = ringbuf.
-func selftestKernel(t *testing.T, b bugs.Set) (*Config, func()) {
+func selftestKernel(t testing.TB, b bugs.Set) (*Config, func()) {
 	t.Helper()
 	k := newTestKernel(t)
 	k.addMap(t, 3, maps.Spec{Type: maps.Array, KeySize: 4, ValueSize: 64, MaxEntries: 4, Name: "arr"})
@@ -902,29 +902,40 @@ const taskOOBSrc = `
 	r0 = *(u64 *)(r6 256)
 	exit`
 
+// program assembles the case with its program type (socket_filter by
+// default), attach target and license.
+func (tc *selftest) program(tb testing.TB) *isa.Program {
+	tb.Helper()
+	prog, err := asm.Assemble(tc.src)
+	if err != nil {
+		tb.Fatalf("%s: assemble: %v", tc.name, err)
+	}
+	prog.Type = tc.progType
+	if prog.Type == isa.ProgTypeUnspec {
+		prog.Type = isa.ProgTypeSocketFilter
+	}
+	prog.AttachTo = tc.attachTo
+	prog.GPLCompatible = !tc.nonGPL
+	return prog
+}
+
+// armed returns the case's bug knobs, never nil.
+func (tc *selftest) armed() bugs.Set {
+	if tc.bugs == nil {
+		return bugs.None()
+	}
+	return tc.bugs
+}
+
 func TestVerifierSelftests(t *testing.T) {
 	for _, tc := range selftests {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			prog, err := asm.Assemble(tc.src)
-			if err != nil {
-				t.Fatalf("assemble: %v", err)
-			}
-			prog.Type = tc.progType
-			if prog.Type == isa.ProgTypeUnspec {
-				prog.Type = isa.ProgTypeSocketFilter
-			}
-			prog.AttachTo = tc.attachTo
-			prog.GPLCompatible = !tc.nonGPL
-
-			b := tc.bugs
-			if b == nil {
-				b = bugs.None()
-			}
-			cfg, done := selftestKernel(t, b)
+			prog := tc.program(t)
+			cfg, done := selftestKernel(t, tc.armed())
 			defer done()
 
-			_, err = Verify(prog, cfg)
+			_, err := Verify(prog, cfg)
 			if tc.wantErr == "" && err != nil {
 				t.Fatalf("expected acceptance, got: %v\n%s", err, prog)
 			}

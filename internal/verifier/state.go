@@ -17,11 +17,6 @@ type FuncState struct {
 	// SavedRegs are the caller's R6-R9 to restore on exit? The kernel
 	// keeps the caller frame intact; we do the same — this field exists
 	// only for the main frame's clarity and is unused.
-
-	// fpc caches each register's structural fingerprint contribution
-	// (fingerprint.go). Valid only while the owning State's fpOK is set;
-	// refreshed register-by-register from the dirty mask.
-	fpc [isa.NumReg]uint64
 }
 
 // State is one point in the verifier's path exploration: the whole call
@@ -36,40 +31,6 @@ type State struct {
 	// prune hit against an ancestor snapshot is recognized as a cycle
 	// (the kernel's "infinite loop detected" via the branches counter).
 	Ancestry []uint64
-
-	// Sparse fingerprint cache (fingerprint.go). fpXor is the XOR of the
-	// per-register contributions cached in each frame's fpc table; fpOK
-	// marks the cache valid; fpDirty is the bitmask of current-frame
-	// registers whose rigid (type/identity) fields may have changed since
-	// the cache was filled. The interpreter marks registers dirty as it
-	// writes them, so pruneOrRecord's fingerprint refresh touches only
-	// the registers mutated since the previous prune comparison instead
-	// of re-walking every frame.
-	fpXor   uint64
-	fpOK    bool
-	fpDirty uint16
-}
-
-// touchReg marks register r of the current frame dirty for the sparse
-// fingerprint cache. Out-of-range register numbers (from structurally
-// invalid programs on their way to rejection) are ignored.
-func (s *State) touchReg(r uint8) {
-	if r < isa.NumReg {
-		s.fpDirty |= 1 << r
-	}
-}
-
-// touchAllRegs marks every current-frame register dirty.
-func (s *State) touchAllRegs() {
-	s.fpDirty = (1 << isa.NumReg) - 1
-}
-
-// fpInvalidate drops the whole fingerprint cache. Required whenever the
-// frame or reference structure changes (call push, exit pop) — the dirty
-// mask only tracks current-frame register rewrites.
-func (s *State) fpInvalidate() {
-	s.fpOK = false
-	s.fpDirty = 0
 }
 
 // Cur returns the active (innermost) frame.
@@ -85,9 +46,6 @@ func (s *State) Clone() *State {
 		Refs:     append([]uint32(nil), s.Refs...),
 		Insn:     s.Insn,
 		Ancestry: append([]uint64(nil), s.Ancestry...),
-		fpXor:    s.fpXor,
-		fpOK:     s.fpOK,
-		fpDirty:  s.fpDirty,
 	}
 	for i, f := range s.Frames {
 		cp := *f

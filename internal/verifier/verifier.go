@@ -262,12 +262,6 @@ type env struct {
 	// Membership is a linear scan (programs reference a handful of maps).
 	usedMaps []*maps.Map
 
-	// tracePCs / traceSeen are the trace-prefix builder's scratch
-	// (cache.go tracePrefix); reinitialized inside the builder, not in
-	// getEnv, so cache-off verifications never pay for them.
-	tracePCs  []int32
-	traceSeen []bool
-
 	// lcov is the per-verification coverage recorder (nil when coverage is
 	// off). It is unsynchronized; Verify flushes it into cfg.Cov exactly
 	// once, on every return path, so the shared map's lock is taken once
@@ -569,69 +563,69 @@ func (e *env) runPath(st *State) (*State, *State, error) {
 		if i < 0 || i >= len(e.prog.Insns) {
 			return nil, nil, e.reject(i, EINVAL, "jump out of range or fall-through past last insn")
 		}
-		e.insnProcessed++
-		if e.insnProcessed > e.cfg.MaxInsnProcessed {
-			return nil, nil, e.reject(i, E2BIG, "BPF program is too large: processed %d insn", e.insnProcessed)
+		done, sibling, err := e.step(st, i)
+		if err != nil {
+			return nil, nil, err
 		}
-		if e.insnProcessed&255 == 0 {
-			if err := e.watchdog(); err != nil {
-				return nil, nil, err
-			}
+		if done {
+			// The path ended (main-frame exit or prune hit): recycle
+			// its state. done paths never return a sibling aliasing st.
+			e.releaseState(st)
+			return nil, nil, nil
 		}
-		ins := e.prog.Insns[i]
-		if e.states != nil {
-			// Claims are joined before the instruction is checked, matching
-			// the runtime hook that fires before it executes.
-			e.states.record(i, st.Cur())
-		}
-		if e.cfg.LogLevel > 0 {
-			e.logf("%d: %s\n", i, ins.String())
-			if e.cfg.LogLevel > 1 {
-				e.logf(";  %s\n", stateLine(st))
-			}
-		}
-
-		switch ins.Class() {
-		case isa.ClassALU, isa.ClassALU64:
-			if err := e.checkALU(st, i, ins); err != nil {
-				return nil, nil, err
-			}
-			st.Insn = i + 1
-
-		case isa.ClassLD:
-			if err := e.checkLDImm(st, i, ins); err != nil {
-				return nil, nil, err
-			}
-			st.Insn = i + 1
-
-		case isa.ClassLDX:
-			if err := e.checkMemAccess(st, i, ins, false); err != nil {
-				return nil, nil, err
-			}
-			st.Insn = i + 1
-
-		case isa.ClassST, isa.ClassSTX:
-			if err := e.checkMemAccess(st, i, ins, true); err != nil {
-				return nil, nil, err
-			}
-			st.Insn = i + 1
-
-		case isa.ClassJMP, isa.ClassJMP32:
-			done, sibling, err := e.checkJmp(st, i, ins)
-			if err != nil {
-				return nil, nil, err
-			}
-			if done {
-				// The path ended (main-frame exit or prune hit): recycle
-				// its state. done paths never return a sibling aliasing st.
-				e.releaseState(st)
-				return nil, nil, nil
-			}
-			if sibling != nil {
-				return sibling, st, nil
-			}
+		if sibling != nil {
+			return sibling, st, nil
 		}
 	}
+}
+
+// step simulates instruction i on st: the instruction budget, the
+// watchdog cadence, claim recording, logging, and the class dispatch.
+// Every class but JMP/JMP32 advances st to i+1; a jump-class instruction
+// returns checkJmp's outcome (path ended, or a taken-branch sibling).
+// runPath and runTrace both go through it, so a worklist run and a
+// prefix-snapshot run account identically.
+func (e *env) step(st *State, i int) (bool, *State, error) {
+	e.insnProcessed++
+	if e.insnProcessed > e.cfg.MaxInsnProcessed {
+		return false, nil, e.reject(i, E2BIG, "BPF program is too large: processed %d insn", e.insnProcessed)
+	}
+	if e.insnProcessed&255 == 0 {
+		if err := e.watchdog(); err != nil {
+			return false, nil, err
+		}
+	}
+	ins := e.prog.Insns[i]
+	if e.states != nil {
+		// Claims are joined before the instruction is checked, matching
+		// the runtime hook that fires before it executes.
+		e.states.record(i, st.Cur())
+	}
+	if e.cfg.LogLevel > 0 {
+		e.logf("%d: %s\n", i, ins.String())
+		if e.cfg.LogLevel > 1 {
+			e.logf(";  %s\n", stateLine(st))
+		}
+	}
+
+	var err error
+	switch ins.Class() {
+	case isa.ClassALU, isa.ClassALU64:
+		err = e.checkALU(st, i, ins)
+	case isa.ClassLD:
+		err = e.checkLDImm(st, i, ins)
+	case isa.ClassLDX:
+		err = e.checkMemAccess(st, i, ins, false)
+	case isa.ClassST, isa.ClassSTX:
+		err = e.checkMemAccess(st, i, ins, true)
+	case isa.ClassJMP, isa.ClassJMP32:
+		return e.checkJmp(st, i, ins)
+	}
+	if err != nil {
+		return false, nil, err
+	}
+	st.Insn = i + 1
+	return false, nil, nil
 }
 
 // snapshot is one recorded exploration state used for pruning and cycle
@@ -647,14 +641,6 @@ type snapshot struct {
 // errInfiniteLoop distinguishes a cycle hit from an ordinary prune.
 var errInfiniteLoop = errors.New("infinite loop")
 
-// fpAudit, when set, makes pruneOrRecord cross-check the incremental
-// state fingerprint against the cache-free reference walk on every
-// prune comparison and panic on drift. A missed touchReg at a register
-// write site would silently desynchronize the two; the audit turns that
-// into a loud failure. Enabled by the fingerprint soundness tests and
-// the FuzzVerifyNoPanic harness, never in production campaigns.
-var fpAudit bool
-
 // pruneOrRecord consults the visited states at insn idx. It returns
 // (true, nil) when the state is subsumed by a previously explored one
 // (prune), (false, error) when the subsuming snapshot is an ancestor of
@@ -663,11 +649,6 @@ var fpAudit bool
 // and returns (false, nil).
 func (e *env) pruneOrRecord(idx int, st *State) (bool, error) {
 	fp := stateFingerprint(st)
-	if fpAudit {
-		if fresh := stateFingerprintFresh(st); fresh != fp {
-			panic(fmt.Sprintf("verifier: fingerprint cache drift at insn %d: incremental %#x fresh %#x", idx, fp, fresh))
-		}
-	}
 	for _, old := range e.visited[idx] {
 		// stateSubsumes(old, new) implies fp(old) == fp(new) (the
 		// fingerprint folds only fields the deep compare requires to be
@@ -744,7 +725,6 @@ func (e *env) checkLDImm(st *State, i int, ins isa.Instruction) error {
 	if err := e.checkRegWrite(st, i, ins.Dst); err != nil {
 		return err
 	}
-	st.touchReg(ins.Dst)
 	dst := st.Reg(ins.Dst)
 	switch ins.Src {
 	case 0:
@@ -752,7 +732,7 @@ func (e *env) checkLDImm(st *State, i int, ins isa.Instruction) error {
 		*dst = constScalar(ins.Imm64)
 	case isa.PseudoMapFD:
 		e.cov("ld_imm64:map_fd")
-		m := e.mapByFD(int32(ins.Imm64))
+		m := e.cfg.mapByFD(int32(ins.Imm64))
 		if m == nil {
 			return e.reject(i, EINVAL, "fd %d is not pointing to valid bpf_map", int32(ins.Imm64))
 		}
@@ -761,7 +741,7 @@ func (e *env) checkLDImm(st *State, i int, ins isa.Instruction) error {
 		e.noteMap(m)
 	case isa.PseudoMapValue:
 		e.cov("ld_imm64:map_value")
-		m := e.mapByFD(int32(uint32(ins.Imm64)))
+		m := e.cfg.mapByFD(int32(uint32(ins.Imm64)))
 		if m == nil {
 			return e.reject(i, EINVAL, "fd %d is not pointing to valid bpf_map", int32(uint32(ins.Imm64)))
 		}
@@ -791,11 +771,12 @@ func (e *env) checkLDImm(st *State, i int, ins isa.Instruction) error {
 	return nil
 }
 
-func (e *env) mapByFD(fd int32) *maps.Map {
-	if e.cfg.MapByFD == nil {
+// mapByFD resolves fd through MapByFD, nil when there is no resolver.
+func (c *Config) mapByFD(fd int32) *maps.Map {
+	if c.MapByFD == nil {
 		return nil
 	}
-	return e.cfg.MapByFD(fd)
+	return c.MapByFD(fd)
 }
 
 func (e *env) noteMap(m *maps.Map) {

@@ -1,6 +1,7 @@
 package verifier
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -21,7 +22,7 @@ type testKernel struct {
 	maps map[int32]*maps.Map
 }
 
-func newTestKernel(t *testing.T) *testKernel {
+func newTestKernel(t testing.TB) *testKernel {
 	t.Helper()
 	return &testKernel{
 		dom:  kmem.NewDomain(),
@@ -31,7 +32,7 @@ func newTestKernel(t *testing.T) *testKernel {
 	}
 }
 
-func (k *testKernel) addMap(t *testing.T, fd int32, spec maps.Spec) *maps.Map {
+func (k *testKernel) addMap(t testing.TB, fd int32, spec maps.Spec) *maps.Map {
 	t.Helper()
 	m, err := maps.New(k.dom, fd, spec)
 	if err != nil {
@@ -688,6 +689,58 @@ func TestFixupResolvesMapFD(t *testing.T) {
 	got := res.Prog.Insns[0]
 	if got.Src != 0 || got.Imm64 != m.KernAddr {
 		t.Errorf("fixed-up ld_imm64 = %+v, want addr %#x", got, m.KernAddr)
+	}
+}
+
+// TestFixupFallbacks pins what the shared fixup rewrite loop keeps on its
+// two paths: a scratch verification whose program cannot be fixed up is
+// rejected with the fixup message, and a verdict-cache hit that cannot be
+// fixed up is demoted to a miss (materialize returns ok == false) so the
+// caller verifies from scratch.
+func TestFixupFallbacks(t *testing.T) {
+	k := newTestKernel(t)
+	k.addMap(t, 3, maps.Spec{Type: maps.Array, KeySize: 4, ValueSize: 8, MaxEntries: 1, Name: "a"})
+	task := k.btf.StructByName("task_struct")
+	for _, tc := range []struct {
+		name  string
+		prog  *isa.Program
+		stale func(*Config)
+		want  string // scratch rejection under the stale config
+	}{
+		{
+			name:  "btf var without resolver",
+			prog:  sockProg(isa.LoadBTFID(isa.R1, int32(task.ID)), isa.Mov64Imm(isa.R0, 0), isa.Exit()),
+			stale: func(c *Config) { c.BTFVarAddr = nil },
+			want:  "fixup: no btf var resolver",
+		},
+		{
+			name: "map value fd now a hash map",
+			prog: sockProg(isa.LoadMapValue(isa.R1, 3, 0), isa.Mov64Imm(isa.R0, 0), isa.Exit()),
+			stale: func(c *Config) {
+				h := newTestKernel(t).addMap(t, 3, maps.Spec{Type: maps.Hash, KeySize: 4, ValueSize: 8, MaxEntries: 1, Name: "h"})
+				c.MapByFD = func(int32) *maps.Map { return h }
+			},
+			want: "direct value access on hash map is not allowed",
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := k.config(bugs.None())
+			res := mustVerify(t, tc.prog, cfg)
+			v := newCachedVerdict(CanonicalProgramBytes(tc.prog), res, nil, nil)
+			tc.stale(cfg)
+			cfg.Cov = coverage.NewMap()
+			if _, _, ok := v.materialize(tc.prog, cfg); ok {
+				t.Fatal("cache hit served although the program no longer fixes up")
+			}
+			if cfg.Cov.Count() != 0 {
+				t.Error("failed materialization replayed coverage")
+			}
+			_, err := Verify(tc.prog, cfg)
+			var ve *Error
+			if !errors.As(err, &ve) || ve.Message() != tc.want {
+				t.Fatalf("scratch verification: %v, want rejection %q", err, tc.want)
+			}
+		})
 	}
 }
 

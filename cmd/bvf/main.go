@@ -9,7 +9,7 @@
 //	    [-nosanitize] [-v]
 //	    [-checkpoint FILE] [-checkpoint-every N] [-resume]
 //	    [-supervise] [-max-restarts N] [-watchdog D]
-//	    [-triage] [-findings-dir DIR] [-oracle] [-cache]
+//	    [-triage] [-findings-dir DIR] [-oracle]
 //	    [-cpuprofile FILE] [-memprofile FILE] [-trace FILE]
 //	bvf -worker [-coordinator URL] [-worker-name NAME]
 //	bvf -submit [-coordinator URL] [-token T] [campaign flags]
@@ -66,13 +66,11 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/orchestrator"
 	"repro/internal/prof"
 	"repro/internal/triage"
-	"repro/internal/vcache"
 )
 
 func main() { os.Exit(run()) }
@@ -99,7 +97,6 @@ func run() int {
 		doTriage    = flag.Bool("triage", true, "run every finding through the validation gauntlet")
 		findingsDir = flag.String("findings-dir", "", "directory for the crash-safe finding store (empty: in-memory)")
 		oracleFlag  = flag.Bool("oracle", false, "differentially check abstract verifier state against concrete execution (indicator 3)")
-		cacheFlag   = flag.Bool("cache", false, "memoize verifier verdicts in a cross-shard cache (incremental re-verification)")
 
 		workerMode  = flag.Bool("worker", false, "run as an orchestrator worker: lease and execute units from -coordinator")
 		coordinator = flag.String("coordinator", "http://127.0.0.1:8377", "bvfd coordinator URL for -worker mode and the campaign subcommands")
@@ -120,12 +117,14 @@ func run() int {
 		// from the coordinator, which is what keeps a fleet consistent.
 		return runWorker(*coordinator, *workerName)
 	}
+	// The campaign the flags describe, as a bvfd spec: a local run and a
+	// submitted one map it onto their configuration through the same code.
+	spec := orchestrator.CampaignSpec{
+		Tool: *tool, Version: *versionFlag, Sanitize: !*noSan,
+		Oracle: *oracleFlag, Seed: *seed, TotalIters: *iters,
+		Units: *workers, SyncEvery: 1024,
+	}
 	if *submit || *listCamps || *statusID != "" || *stopID != "" || *drainCoord {
-		spec := orchestrator.CampaignSpec{
-			Tool: *tool, Version: *versionFlag, Sanitize: !*noSan,
-			Oracle: *oracleFlag, Seed: *seed, TotalIters: *iters,
-			Units: *workers, SyncEvery: 1024,
-		}
 		return runCampaignOp(campaignOp{
 			coordinator: *coordinator, token: *token, spec: spec,
 			submit: *submit, list: *listCamps,
@@ -140,16 +139,9 @@ func run() int {
 		return 1
 	}
 
-	var version kernel.Version
-	switch *versionFlag {
-	case "v5.15":
-		version = kernel.V515
-	case "v6.1":
-		version = kernel.V61
-	case "bpf-next":
-		version = kernel.BPFNext
-	default:
-		fmt.Fprintf(os.Stderr, "bvf: unknown version %q\n", *versionFlag)
+	cc, err := spec.CampaignConfig()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "bvf: %v\n", err)
 		return 2
 	}
 
@@ -162,31 +154,13 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "bvf: -resume requires -checkpoint")
 			return 2
 		}
-		var err error
 		snap, err = core.LoadSnapshot(*ckptPath)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "bvf: resume: %v\n", err)
 			return 1
 		}
-		*seed = snap.Seed
+		cc.Seed = snap.Seed
 		*workers = snap.Workers
-	}
-
-	var src core.ProgramSource
-	sanitize := !*noSan
-	mutate := 0
-	switch *tool {
-	case "bvf":
-		src = core.BVFSource(version.HasKfuncs())
-	case "syzkaller":
-		src, sanitize = baseline.Syz{}, false
-	case "buzzer":
-		src, sanitize = baseline.Buzz{Mode: baseline.BuzzALUJmp}, false
-	case "buzzer-random":
-		src, sanitize, mutate = baseline.Buzz{Mode: baseline.BuzzRandom}, false, -1
-	default:
-		fmt.Fprintf(os.Stderr, "bvf: unknown tool %q\n", *tool)
-		return 2
 	}
 
 	runIters := *iters
@@ -208,30 +182,21 @@ func run() int {
 		}
 	}
 
-	fmt.Printf("bvf: fuzzing Linux %s with %s for %d iterations (sanitize=%v, seed=%d, workers=%d, cache=%v)\n",
-		version, src.Name(), *iters, sanitize, *seed, *workers, *cacheFlag)
-	var sharedCache *vcache.Store
-	if *cacheFlag {
-		sharedCache = vcache.NewStore(0)
+	fmt.Printf("bvf: fuzzing Linux %s with %s for %d iterations (sanitize=%v, seed=%d, workers=%d)\n",
+		cc.Version, cc.Source.Name(), *iters, cc.Sanitize, cc.Seed, *workers)
+	cc.Supervision = core.SupervisorConfig{
+		Enabled:       *supervise,
+		MaxRestarts:   *maxRst,
+		VerifyTimeout: timeoutOrOff(*watchdog),
+		ExecTimeout:   timeoutOrOff(*watchdog),
 	}
 	start := time.Now()
 	c := core.NewParallelCampaign(core.ParallelConfig{
-		CampaignConfig: core.CampaignConfig{
-			Source: src, Version: version, Sanitize: sanitize,
-			Seed: *seed, MutateBias: mutate,
-			Oracle: *oracleFlag,
-			Supervision: core.SupervisorConfig{
-				Enabled:       *supervise,
-				MaxRestarts:   *maxRst,
-				VerifyTimeout: timeoutOrOff(*watchdog),
-				ExecTimeout:   timeoutOrOff(*watchdog),
-			},
-		},
+		CampaignConfig:  cc,
 		Workers:         *workers,
 		Progress:        os.Stderr,
 		CheckpointPath:  *ckptPath,
 		CheckpointEvery: *ckptEvery,
-		SharedCache:     sharedCache,
 	})
 	if snap != nil {
 		if err := c.Resume(snap); err != nil {
@@ -290,16 +255,6 @@ func run() int {
 			st.MutateBatches, st.MutateSiblings,
 			float64(st.MutateSiblings)/float64(st.MutateBatches))
 	}
-	if st.CacheHits+st.CacheMisses > 0 {
-		prefixRate := 0.0
-		if st.CachePrefixHits+st.CachePrefixMisses > 0 {
-			prefixRate = float64(st.CachePrefixHits) / float64(st.CachePrefixHits+st.CachePrefixMisses)
-		}
-		fmt.Printf("verdict cache:    %d hits / %d lookups (%.1f%%), %d prefix hits (%.1f%%), ~%s inserted\n",
-			st.CacheHits, st.CacheHits+st.CacheMisses,
-			100*float64(st.CacheHits)/float64(st.CacheHits+st.CacheMisses),
-			st.CachePrefixHits, 100*prefixRate, humanBytes(st.CacheInsertedBytes))
-	}
 	fmt.Printf("bugs found:       %d (%d verifier correctness, %d manifestations)\n\n",
 		len(st.BugIDs()), st.VerifierBugsFound(), len(st.Bugs))
 
@@ -331,7 +286,7 @@ func run() int {
 		}
 	}
 	if *doTriage && !stopped {
-		if terr := runGauntlet(st, version, sanitize, *oracleFlag, *findingsDir); terr != nil {
+		if terr := runGauntlet(st, cc.Version, cc.Sanitize, cc.Oracle, *findingsDir); terr != nil {
 			note := ""
 			if *findingsDir != "" {
 				note = fmt.Sprintf(" (finding store %s is crash-safe; rerun with -resume to continue the gauntlet)", *findingsDir)
@@ -486,18 +441,6 @@ func timeoutOrOff(d time.Duration) time.Duration {
 		return -1
 	}
 	return d
-}
-
-// humanBytes renders a byte count with a binary unit suffix.
-func humanBytes(n int64) string {
-	switch {
-	case n >= 1<<20:
-		return fmt.Sprintf("%.1f MiB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.1f KiB", float64(n)/(1<<10))
-	default:
-		return fmt.Sprintf("%d B", n)
-	}
 }
 
 func indent(s, pre string) string {

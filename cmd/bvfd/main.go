@@ -144,7 +144,14 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "bvfd: %v\n", err)
 		return 1
 	}
-	srv := &http.Server{Handler: orchestrator.NewServer(mgr)}
+	// Timeouts bound how long a slow or stalled client holds a connection;
+	// the largest body, a unit's result, is about 25 KB.
+	srv := &http.Server{
+		Handler:           orchestrator.NewServer(mgr),
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       time.Minute,
+		IdleTimeout:       2 * time.Minute,
+	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 	mode := "one-shot"

@@ -33,8 +33,8 @@ var magic = [8]byte{'B', 'V', 'F', 'C', 'K', 'P', 'T', '\n'}
 // FormatVersion is bumped on incompatible envelope or payload changes; a
 // mismatch fails Load rather than guessing. v2: Stats.Bugs keyed by the
 // full manifestation signature (core.BugKey) instead of the bug ID.
-// v3: snapshots carry the shared verdict-cache contents and Stats grew
-// the cache hit/miss counters.
+// v3: Stats grew the cache hit/miss counters (v3 snapshots also carried
+// a cross-shard verdict-cache payload, which gob now skips on load).
 const FormatVersion = 3
 
 // headerSize is magic + version(u32) + payload length(u64) + crc(u32).

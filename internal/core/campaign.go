@@ -86,9 +86,8 @@ type CampaignConfig struct {
 	// golden determinism fingerprint is defined with the oracle off.
 	Oracle bool
 	// Cache, when non-nil, memoizes verifier verdicts across iterations
-	// (and kernel recycles — see internal/vcache). Single campaigns pass a
-	// *vcache.Store; ParallelCampaign hands each shard a *vcache.Shard
-	// view of one shared store. Stats gains Cache* counters when set.
+	// (and kernel recycles — see internal/vcache), usually a
+	// *vcache.Store. Stats gains Cache* counters when set.
 	Cache verifier.Cache
 	// OnIteration, when non-nil, is invoked after every fuzzing
 	// iteration. ParallelCampaign uses it to feed the live progress
@@ -313,9 +312,8 @@ func (c *Campaign) Run(iters int) (*Stats, error) {
 }
 
 // cacheCounters snapshots the configured cache's effectiveness counters
-// (vcache.Store and vcache.Shard both satisfy the interface); Run pulls
-// start/end deltas so repeated Run calls and resumed campaigns accumulate
-// correctly.
+// (vcache.Store satisfies the interface); Run pulls start/end deltas so
+// repeated Run calls and resumed campaigns accumulate correctly.
 func (c *Campaign) cacheCounters() (vcache.Counters, bool) {
 	cc, ok := c.cfg.Cache.(interface{ CounterSnapshot() vcache.Counters })
 	if !ok {

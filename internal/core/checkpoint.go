@@ -8,7 +8,6 @@ import (
 	"repro/internal/coverage"
 	"repro/internal/isa"
 	"repro/internal/kernel"
-	"repro/internal/vcache"
 )
 
 // countedSource wraps math/rand's default source and counts state draws,
@@ -99,11 +98,6 @@ type Snapshot struct {
 	Global *coverage.Map
 	// Curve is the exact global coverage curve recorded at barriers.
 	Curve []CurvePoint
-	// Cache is the shared verdict-cache contents (ParallelConfig.
-	// SharedCache only; nil otherwise). Prefix snapshots are not included
-	// — they hold live map pointers and are rebuilt cheaply after resume.
-	// Checkpoint format v3 added this field.
-	Cache *vcache.Serialized
 }
 
 // TotalDone returns the number of fuzzing iterations the snapshotted
@@ -208,9 +202,6 @@ func (p *ParallelCampaign) snapshot() *Snapshot {
 		Global:     p.global,
 		Curve:      append([]CurvePoint(nil), p.stats.Curve...),
 	}
-	if p.cfg.SharedCache != nil {
-		s.Cache = p.cfg.SharedCache.Export()
-	}
 	for _, sh := range p.shards {
 		s.Shards = append(s.Shards, sh.exportState())
 	}
@@ -280,11 +271,5 @@ func (p *ParallelCampaign) Resume(snap *Snapshot) error {
 	}
 	p.crashCount = snap.CrashCount
 	p.crashes = append([]HarnessCrash(nil), snap.Crashes...)
-	if p.cfg.SharedCache != nil {
-		// Warm the shared store from the snapshot. A campaign resumed
-		// without a cache (or vice versa) is still valid — the cache only
-		// changes how fast verdicts are reached, never which.
-		p.cfg.SharedCache.Import(snap.Cache)
-	}
 	return nil
 }

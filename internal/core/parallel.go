@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/coverage"
-	"repro/internal/vcache"
 )
 
 // ErrStopped is returned by ParallelCampaign.Run when Stop interrupted
@@ -20,7 +19,9 @@ var ErrStopped = errors.New("parallel campaign: stopped")
 
 // ParallelConfig parameterizes a sharded campaign. The embedded
 // CampaignConfig describes each shard; shard i runs with Seed+i so the
-// shards explore disjoint trajectories deterministically.
+// shards explore disjoint trajectories deterministically. Its Cache must
+// stay nil with more than one worker: the shards would share one store,
+// and each would count every shard's hits as its own.
 type ParallelConfig struct {
 	CampaignConfig
 	// Workers is the number of shards; <=0 selects runtime.NumCPU().
@@ -42,13 +43,6 @@ type ParallelConfig struct {
 	// CheckpointEvery is the checkpoint cadence in coordinator rounds.
 	// Default 8.
 	CheckpointEvery int
-	// SharedCache, when non-nil, is the cross-shard verdict cache. Every
-	// shard gets a *vcache.Shard view: mid-round lookups see the frozen
-	// global store plus the shard's own inserts, and the coordinator
-	// publishes pending entries at the round barrier in shard-index order
-	// (single-writer insert), so cache contents never depend on the
-	// goroutine schedule. Overrides CampaignConfig.Cache.
-	SharedCache *vcache.Store
 }
 
 // ParallelCampaign runs N worker shards, each an ordinary Campaign with
@@ -68,12 +62,6 @@ type ParallelCampaign struct {
 	shards []*Campaign
 	global *coverage.Map
 	stats  *Stats
-
-	// caches holds each shard's view of cfg.SharedCache (nil entries when
-	// the cache is off). Pending inserts are published in sync(), and the
-	// publish wall clock lands in cacheNanos (the "cache" stage).
-	caches     []*vcache.Shard
-	cacheNanos int64
 
 	// Supervision state, touched only at round barriers.
 	restarts   []int  // shard restarts so far (circuit-breaker input)
@@ -135,16 +123,11 @@ func NewParallelCampaign(cfg ParallelConfig) *ParallelCampaign {
 		restarts: make([]int, cfg.Workers),
 		dead:     make([]bool, cfg.Workers),
 	}
-	p.caches = make([]*vcache.Shard, cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		sc := cfg.CampaignConfig
 		sc.Seed = cfg.Seed + int64(i)
 		sc.OnIteration = func() { p.liveIters.Add(1) }
 		sc.OnStage = p.recordStage
-		if cfg.SharedCache != nil {
-			p.caches[i] = cfg.SharedCache.NewShard()
-			sc.Cache = p.caches[i]
-		}
 		// Shards skip reproducer minimization: every shard rediscovers
 		// roughly the same bug set, and minimization dominates the
 		// per-shard fixed cost (~80% measured). mergeStats minimizes
@@ -163,12 +146,19 @@ func (p *ParallelCampaign) Workers() int { return len(p.shards) }
 // per-shard statistics are folded in at the final barrier.
 func (p *ParallelCampaign) Stats() *Stats { return p.stats }
 
-// globalIteration maps a shard-local iteration index onto the global
-// axis: by local iteration i, the whole fleet has executed about
-// i*Workers iterations. The shard index breaks ties deterministically so
-// merged records from different shards never collide.
-func (p *ParallelCampaign) globalIteration(shard, local int) int {
-	return local*len(p.shards) + shard
+// SplitQuota divides total iterations over shards: an even share each,
+// with the remainder spread over the lowest shard indices. A distributed
+// campaign splits its budget over work units the same way, which is what
+// lets unit i reproduce shard i.
+func SplitQuota(total, shards int) []int {
+	quota := make([]int, shards)
+	for i := range quota {
+		quota[i] = total / shards
+		if i < total%shards {
+			quota[i]++
+		}
+	}
+	return quota
 }
 
 // Stop requests a graceful stop: Run finishes the in-flight round,
@@ -200,13 +190,7 @@ type shardOutcome struct {
 // them alongside the error — hours of fuzzing results from the other
 // shards must not vanish because one shard failed.
 func (p *ParallelCampaign) Run(total int) (*Stats, error) {
-	quota := make([]int, len(p.shards))
-	for i := range quota {
-		quota[i] = total / len(p.shards)
-		if i < total%len(p.shards) {
-			quota[i]++
-		}
-	}
+	quota := SplitQuota(total, len(p.shards))
 	// Quota assigned to already-retired shards (after a resume) moves to
 	// the survivors immediately.
 	for i := range p.shards {
@@ -319,12 +303,6 @@ func (p *ParallelCampaign) rebuildShard(i int) {
 	sc.OnIteration = func() { p.liveIters.Add(1) }
 	sc.OnStage = p.recordStage
 	sc.NoMinimize = true
-	if p.cfg.SharedCache != nil {
-		// Fresh view: the crashed round's pending inserts are untrusted
-		// (the panic may have landed mid-insert) and are dropped with it.
-		p.caches[i] = p.cfg.SharedCache.NewShard()
-		sc.Cache = p.caches[i]
-	}
 	nc := NewCampaign(sc)
 	nc.stats = old.stats
 	nc.stats.ShardRestarts++
@@ -403,17 +381,6 @@ func (p *ParallelCampaign) sync() {
 			}
 		}
 	}
-	if p.cfg.SharedCache != nil {
-		// Single-writer insert: pending shard entries reach the global
-		// store here, in shard-index order, while every shard is parked.
-		t0 := time.Now()
-		for _, sc := range p.caches {
-			if sc != nil {
-				sc.Publish()
-			}
-		}
-		p.cacheNanos += int64(time.Since(t0))
-	}
 	p.recordRound()
 }
 
@@ -447,38 +414,10 @@ func (p *ParallelCampaign) mergeStats() {
 	merged.Coverage = p.global
 	merged.Curve = p.stats.Curve
 	for i, sh := range p.shards {
-		st := sh.Stats()
-		t := *st // shallow copy: shard stats stay untouched for later rounds
-		t.Coverage = nil
-		t.Curve = nil
-		t.Bugs = make(map[BugKey]*BugRecord, len(st.Bugs))
-		for key, rec := range st.Bugs {
-			r := *rec
-			r.FoundAt = p.globalIteration(i, rec.FoundAt)
-			t.Bugs[key] = &r
-		}
-		t.UnattributedSamples = nil
-		for _, u := range st.UnattributedSamples {
-			u.FoundAt = p.globalIteration(i, u.FoundAt)
-			t.UnattributedSamples = append(t.UnattributedSamples, u)
-		}
-		t.TimeoutSamples = nil
-		for _, ts := range st.TimeoutSamples {
-			ts.FoundAt = p.globalIteration(i, ts.FoundAt)
-			t.TimeoutSamples = append(t.TimeoutSamples, ts)
-		}
-		t.HarnessCrashes = nil
-		for _, h := range st.HarnessCrashes {
-			h.Shard = i
-			h.Iteration = p.globalIteration(i, h.Iteration)
-			t.HarnessCrashes = append(t.HarnessCrashes, h)
-		}
-		merged.Merge(&t)
-	}
-	// Coordinator-side cache maintenance (barrier publishes) is booked as
-	// its own stage so shard stage shares still describe shard work.
-	if p.cacheNanos > 0 {
-		merged.StageNanos["cache"] += p.cacheNanos
+		// The global map and the barrier curve stand for the shards'.
+		st := *sh.Stats()
+		st.Coverage, st.Curve = nil, nil
+		merged.Merge(st.OnGlobalAxis(i, len(p.shards)))
 	}
 	// Shard-level crashes (caught by the goroutine supervisor rather than
 	// the per-iteration containment) live on the coordinator, not in any
@@ -488,7 +427,7 @@ func (p *ParallelCampaign) mergeStats() {
 		if len(merged.HarnessCrashes) >= maxHarnessCrashSamples {
 			break
 		}
-		h.Iteration = p.globalIteration(h.Shard, h.Iteration)
+		h.Iteration = globalIteration(h.Iteration, h.Shard, len(p.shards))
 		merged.HarnessCrashes = append(merged.HarnessCrashes, h)
 	}
 	// Merge replayed the (empty) curve; restore the global one.
@@ -559,32 +498,14 @@ func (p *ParallelCampaign) startReporter() func() {
 							100*float64(stageNS[i])/float64(totalNS))
 					}
 				}
-				cacheShare := ""
-				if p.cfg.SharedCache != nil {
-					// Whole-program and prefix-resume hit shares, side by
-					// side: the first says how often verification was skipped
-					// outright, the second how often it resumed mid-trace.
-					cnt := p.cfg.SharedCache.CounterSnapshot()
-					cacheShare = fmt.Sprintf("  cache hits %.0f%%/%.0f%%",
-						100*hitShare(cnt.Hits, cnt.Misses),
-						100*hitShare(cnt.PrefixHits, cnt.PrefixMisses))
-				}
 				fmt.Fprintf(p.cfg.Progress,
-					"[%8s] %d iters  %.0f/s  accept %.1f%%  coverage %d  bugs %d%s%s\n",
+					"[%8s] %d iters  %.0f/s  accept %.1f%%  coverage %d  bugs %d%s\n",
 					now.Sub(start).Round(time.Second), iters, rate, 100*acc,
-					p.liveCoverage.Load(), p.liveBugs.Load(), stages, cacheShare)
+					p.liveCoverage.Load(), p.liveBugs.Load(), stages)
 			}
 		}
 	}()
 	return func() { once.Do(func() { close(done) }) }
-}
-
-// hitShare returns hits/(hits+misses), 0 when there were no lookups.
-func hitShare(hits, misses int64) float64 {
-	if hits+misses == 0 {
-		return 0
-	}
-	return float64(hits) / float64(hits+misses)
 }
 
 func remaining(quota []int) bool {

@@ -112,8 +112,8 @@ type Stats struct {
 	// panics.
 	ShardRestarts int
 
-	// Verdict-cache effectiveness (CampaignConfig.Cache /
-	// ParallelConfig.SharedCache only; all zero otherwise). Hits/Misses
+	// Verdict-cache effectiveness (CampaignConfig.Cache only; all zero
+	// otherwise). Hits/Misses
 	// count whole-program verdict lookups, the Prefix pair counts
 	// linear-prefix snapshot lookups, and CacheInsertedBytes estimates the
 	// memory volume of the entries this campaign inserted.
@@ -212,8 +212,8 @@ func (s *Stats) BugByID(id bugs.ID) *BugRecord {
 // merge, bug records deduplicate keeping the earliest FoundAt, and curve
 // points combine on a shared iteration axis. Callers merging shard-local
 // statistics must first translate other's iteration-indexed fields
-// (BugRecord.FoundAt, CurvePoint.Iteration) onto the global axis —
-// ParallelCampaign does this with globalIteration. other is not modified.
+// (BugRecord.FoundAt, CurvePoint.Iteration) onto the global axis with
+// OnGlobalAxis. other is not modified.
 func (s *Stats) Merge(other *Stats) {
 	if other == nil {
 		return
@@ -284,6 +284,49 @@ func (s *Stats) Merge(other *Stats) {
 	s.CachePrefixMisses += other.CachePrefixMisses
 	s.CacheInsertedBytes += other.CacheInsertedBytes
 	s.Curve = mergeCurves(s.Curve, other.Curve)
+}
+
+// globalIteration maps a shard-local iteration index onto the merged
+// axis: by local iteration i the whole fleet of shards has executed about
+// i*shards iterations, and the shard index breaks ties so merged records
+// from different shards never collide.
+func globalIteration(local, shard, shards int) int { return local*shards + shard }
+
+// OnGlobalAxis returns a shallow copy of one shard's statistics with its
+// bug, unattributed, timeout and harness-crash records and its coverage
+// curve moved onto the merged axis (globalIteration), ready for Merge. A
+// distributed campaign merges each unit's statistics through it too. s
+// is not modified.
+func (s *Stats) OnGlobalAxis(shard, shards int) *Stats {
+	global := func(local int) int { return globalIteration(local, shard, shards) }
+	t := *s
+	t.Bugs = make(map[BugKey]*BugRecord, len(s.Bugs))
+	for key, rec := range s.Bugs {
+		r := *rec
+		r.FoundAt = global(rec.FoundAt)
+		t.Bugs[key] = &r
+	}
+	t.UnattributedSamples = nil
+	for _, u := range s.UnattributedSamples {
+		u.FoundAt = global(u.FoundAt)
+		t.UnattributedSamples = append(t.UnattributedSamples, u)
+	}
+	t.TimeoutSamples = nil
+	for _, ts := range s.TimeoutSamples {
+		ts.FoundAt = global(ts.FoundAt)
+		t.TimeoutSamples = append(t.TimeoutSamples, ts)
+	}
+	t.HarnessCrashes = nil
+	for _, h := range s.HarnessCrashes {
+		h.Shard = shard
+		h.Iteration = global(h.Iteration)
+		t.HarnessCrashes = append(t.HarnessCrashes, h)
+	}
+	t.Curve = nil
+	for _, pt := range s.Curve {
+		t.Curve = append(t.Curve, CurvePoint{Iteration: global(pt.Iteration), Branches: pt.Branches})
+	}
+	return &t
 }
 
 // mergeCurves combines two coverage curves sharing an iteration axis into

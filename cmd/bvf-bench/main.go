@@ -9,13 +9,8 @@
 //	bvf-bench -exp overhead   [-corpus N] [-repeats N]
 //	bvf-bench -exp all
 //
-// Every campaign-driven experiment accepts -workers N to shard each
-// campaign's iteration budget across N parallel fuzzing instances, and
-// -supervise to run campaigns under the self-healing supervisor (off by
-// default: experiment results are bit-identical either way with no
-// faults, and unsupervised keeps the watchdog clocks unarmed).
-// -minimize-budget bounds each reproducer minimization's wall clock, so
-// one pathological reproducer cannot stall a whole benchmark sweep.
+// Every campaign-driven experiment runs each campaign as the paper's
+// single unsupervised fuzzing instance.
 //
 // bvf-bench -bench-json FILE runs a fixed-seed throughput benchmark
 // (instead of an experiment) and writes a machine-readable report —
@@ -31,6 +26,7 @@ import (
 	"fmt"
 	"os"
 	goruntime "runtime"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -46,19 +42,15 @@ func main() { os.Exit(run()) }
 // survives every exit path.
 func run() int {
 	var (
-		exp       = flag.String("exp", "all", "experiment: table2, fig6, table3, acceptance, overhead, ablation, all")
-		budget    = flag.Int("budget", 0, "iteration budget (0 = per-experiment default)")
-		seeds     = flag.Int("seeds", 3, "campaign seeds for table2")
-		repeats   = flag.Int("repeats", 3, "repetitions for fig6/overhead")
-		corpus    = flag.Int("corpus", 708, "self-test corpus size for overhead")
-		workers   = flag.Int("workers", 1, "parallel shards per campaign (1 = the paper's single-instance runs)")
-		supervise = flag.Bool("supervise", false, "run experiment campaigns under the self-healing supervisor")
-		minBudget = flag.Duration("minimize-budget", core.DefaultMinimizeBudget,
-			"wall-clock budget per reproducer minimization (negative disables the bound)")
+		exp        = flag.String("exp", "all", "experiment: table2, fig6, table3, acceptance, overhead, ablation, all")
+		budget     = flag.Int("budget", 0, "iteration budget (0 = per-experiment default)")
+		seeds      = flag.Int("seeds", 3, "campaign seeds for table2")
+		repeats    = flag.Int("repeats", 3, "repetitions for fig6/overhead")
+		corpus     = flag.Int("corpus", 708, "self-test corpus size for overhead")
 		benchJSON  = flag.String("bench-json", "", "run the fixed-seed throughput benchmark and write a JSON report to this file")
 		oracleFlag = flag.Bool("oracle", false, "arm the abstract-state soundness oracle in the -bench-json campaign (measures its overhead)")
 		cacheFlag  = flag.Bool("cache", true, "memoize verifier verdicts in the -bench-json campaign (the committed baselines are cached)")
-		baseline   = flag.String("bench-baseline", "", "committed BENCH_*.json to compare against; >20% iters/sec regression fails the run")
+		baseline   = flag.String("bench-baseline", "", "committed BENCH_*.json to compare against; differing counts or a >20% iters/sec regression fail the run")
 		minHitRate = flag.Float64("min-hit-rate", 0, "fail the -bench-json run when the whole-program cache hit rate is below this fraction")
 	)
 	profFlags := prof.Register(flag.CommandLine)
@@ -70,14 +62,6 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "bvf-bench: %v\n", perr)
 		return 1
 	}
-	experiments.SetCampaignWorkers(*workers)
-	if *supervise {
-		experiments.SetSupervision(core.SupervisorConfig{Enabled: true})
-	}
-	if *minBudget != 0 {
-		core.DefaultMinimizeBudget = *minBudget
-	}
-
 	if *benchJSON != "" {
 		if err := runBenchJSON(*benchJSON, *budget, *oracleFlag, *cacheFlag, *baseline, *minHitRate); err != nil {
 			fmt.Fprintf(os.Stderr, "bvf-bench: %v\n", err)
@@ -296,10 +280,12 @@ func runBenchJSON(path string, budget int, oracle, cached bool, baselinePath str
 	return nil
 }
 
-// checkBaseline compares a fresh report against a committed one and fails
-// when throughput regressed by more than 20% — a smoke gate coarse enough
-// to survive CI-runner noise but tight enough to catch a hot path that
-// quietly fell off a cliff.
+// checkBaseline compares a fresh report against a committed one. It fails
+// when a count differs — the campaign is deterministic at a fixed seed
+// and budget, so any drift is a behaviour change — or when throughput
+// regressed by more than 20%, a smoke gate coarse enough to survive
+// CI-runner noise but tight enough to catch a hot path that quietly fell
+// off a cliff.
 func checkBaseline(rep BenchReport, path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -315,6 +301,23 @@ func checkBaseline(rep BenchReport, path string) error {
 	ratio := rep.ItersPerSec / base.ItersPerSec
 	fmt.Printf("bench: %.0f iters/sec vs baseline %.0f (%.2fx, %s)\n",
 		rep.ItersPerSec, base.ItersPerSec, ratio, path)
+	var drift []string
+	for _, c := range []struct {
+		name      string
+		got, want int
+	}{
+		{"iterations", rep.Iterations, base.Iterations},
+		{"accepted", rep.Accepted, base.Accepted},
+		{"coverage_sites", rep.CoverageSites, base.CoverageSites},
+		{"bugs", rep.Bugs, base.Bugs},
+	} {
+		if c.got != c.want {
+			drift = append(drift, fmt.Sprintf("%s %d (baseline %d)", c.name, c.got, c.want))
+		}
+	}
+	if len(drift) > 0 {
+		return fmt.Errorf("bench baseline: counts differ from %s: %s", path, strings.Join(drift, ", "))
+	}
 	if ratio < 0.8 {
 		return fmt.Errorf("bench baseline: throughput regressed to %.2fx of %s (floor 0.80x)", ratio, path)
 	}

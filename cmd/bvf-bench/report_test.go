@@ -1,7 +1,11 @@
 package main
 
 import (
+	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -90,5 +94,44 @@ func TestBenchReportCacheCounters(t *testing.T) {
 	}
 	if rep.MutateBatch != 8 || rep.MutateBatches != 4 || rep.MutateSiblings != 32 {
 		t.Errorf("mutation-scheduler fields not propagated: %+v", rep)
+	}
+}
+
+// The baseline gate fails on any count drift, not only on throughput: at
+// a fixed seed and budget the campaign is deterministic, so differing
+// counts mean changed behaviour even when the speed is unchanged.
+func TestCheckBaselineComparesCounts(t *testing.T) {
+	base := BenchReport{
+		Iterations: 100000, ItersPerSec: 40000,
+		Accepted: 38381, CoverageSites: 270, Bugs: 12,
+	}
+	data, err := json.Marshal(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "base.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkBaseline(base, path); err != nil {
+		t.Fatalf("identical report failed the gate: %v", err)
+	}
+	for name, mutate := range map[string]func(*BenchReport){
+		"iterations":     func(r *BenchReport) { r.Iterations-- },
+		"accepted":       func(r *BenchReport) { r.Accepted++ },
+		"coverage_sites": func(r *BenchReport) { r.CoverageSites-- },
+		"bugs":           func(r *BenchReport) { r.Bugs++ },
+	} {
+		rep := base
+		mutate(&rep)
+		err := checkBaseline(rep, path)
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s drift: err = %v, want a count error naming %s", name, err, name)
+		}
+	}
+	slow := base
+	slow.ItersPerSec = 0.7 * base.ItersPerSec
+	if err := checkBaseline(slow, path); err == nil {
+		t.Error("a 0.70x throughput report passed the 0.80x floor")
 	}
 }

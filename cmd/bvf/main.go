@@ -34,7 +34,7 @@
 // (default: all CPUs), each with its own simulated kernel, RNG and
 // corpus; a coordinator merges coverage and exchanges coverage-novel
 // programs between shards. Progress is reported on stderr every few
-// seconds.
+// seconds and once more when fuzzing ends.
 //
 // Long campaigns are crash-safe: with -checkpoint the coordinator
 // atomically snapshots the whole campaign (corpus, coverage, statistics,

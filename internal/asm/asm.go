@@ -499,12 +499,3 @@ func (a *assembler) parseAssign(ln line, dst uint8, w bool, rhs string) (isa.Ins
 	}
 	return isa.Mov64Imm(dst, int32(imm)), nil
 }
-
-// MustAssemble panics on error; for tests and examples.
-func MustAssemble(src string) *isa.Program {
-	p, err := Assemble(src)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}

@@ -1,19 +1,19 @@
 // Package backoff is the shared exponential-backoff policy used by every
-// retry loop in the runtime: supervised shard restarts (core), quarantine
-// re-validation (triage), and worker→coordinator RPC retries
-// (orchestrator). One implementation keeps the semantics identical
-// everywhere — attempt 1 sleeps Base, each further attempt doubles it,
-// capped at Max — and adds the one thing the distributed callers need
-// that the in-process ones do not: seeded-deterministic jitter, so a
-// fleet of workers retrying against a briefly-unreachable coordinator
-// decorrelates without giving up reproducible tests.
+// retry loop in the runtime: quarantine re-validation and minimization
+// retries (triage), and worker→coordinator RPC retries (orchestrator).
+// One implementation keeps the semantics identical everywhere — attempt
+// 1 sleeps Base, each further attempt doubles it, capped at Max — and
+// adds the one thing the distributed callers need that the in-process
+// one does not: seeded-deterministic jitter, so a fleet of workers
+// retrying against a briefly-unreachable coordinator decorrelates
+// without giving up reproducible tests.
 package backoff
 
 import "time"
 
 // Policy shapes an exponential backoff schedule. The zero value is not
 // useful; fill Base and Max (Exp with Jitter 0 reproduces the historic
-// core/triage backoff helpers exactly).
+// triage backoff helper exactly).
 type Policy struct {
 	// Base is the delay before the first retry; each subsequent attempt
 	// doubles it.
@@ -31,7 +31,7 @@ type Policy struct {
 }
 
 // Exp returns a plain exponential policy (no jitter), the schedule the
-// campaign supervisor and the triage gauntlet have always used.
+// triage gauntlet has always used.
 func Exp(base, max time.Duration) Policy {
 	return Policy{Base: base, Max: max}
 }

@@ -89,15 +89,6 @@ type CampaignConfig struct {
 	// (and kernel recycles — see internal/vcache), usually a
 	// *vcache.Store. Stats gains Cache* counters when set.
 	Cache verifier.Cache
-	// OnIteration, when non-nil, is invoked after every fuzzing
-	// iteration. ParallelCampaign uses it to feed the live progress
-	// reporter; the callback must be cheap and concurrency-safe.
-	OnIteration func()
-	// OnStage, when non-nil, is invoked with each pipeline stage's
-	// wall-clock duration as it completes ("gen", "verify", "exec",
-	// "triage"). ParallelCampaign uses it to aggregate live stage shares
-	// across shards; the callback must be cheap and concurrency-safe.
-	OnStage func(stage string, d time.Duration)
 	// Supervision configures panic containment and the wall-clock
 	// watchdogs. The zero value leaves every mechanism off.
 	Supervision SupervisorConfig
@@ -292,9 +283,6 @@ func (c *Campaign) Run(iters int) (*Stats, error) {
 				Iteration: gi + 1, Branches: c.stats.Coverage.Count(),
 			})
 		}
-		if c.cfg.OnIteration != nil {
-			c.cfg.OnIteration()
-		}
 	}
 	c.stats.Iterations = base + iters
 	c.stats.CorpusSize = c.corpus.Len()
@@ -345,15 +333,12 @@ func (c *Campaign) runIteration(gi int) {
 }
 
 // addStage accumulates one pipeline stage's wall-clock time into
-// Stats.StageNanos and feeds the OnStage callback.
+// Stats.StageNanos.
 func (c *Campaign) addStage(stage string, d time.Duration) {
 	if c.stats.StageNanos == nil {
 		c.stats.StageNanos = make(map[string]int64)
 	}
 	c.stats.StageNanos[stage] += int64(d)
-	if c.cfg.OnStage != nil {
-		c.cfg.OnStage(stage, d)
-	}
 }
 
 // isVerifierTimeout matches the verify watchdog's TimeoutError without

@@ -25,12 +25,8 @@ type GenConfig struct {
 	// Maps is the resource pool (the paper: "BVF constructs the
 	// corresponding resources in the kernel before execution").
 	Maps []MapHandle
-	// ProgTypes restricts generated program types; nil means all.
-	ProgTypes []isa.ProgramType
 	// Kfuncs permits kernel-function call frames.
 	Kfuncs bool
-	// MaxBodyFrames bounds the framed body's top-level frame count.
-	MaxBodyFrames int
 	// Risky scales the probability of "interesting but likely rejected"
 	// constructs (unchecked nullable derefs, pointer-vs-pointer
 	// equality games, out-of-bounds BTF offsets) in units of 1/256.
@@ -77,6 +73,9 @@ type genReg struct {
 	btfID btf.TypeID // kBTFObj pointee
 }
 
+// maxBodyFrames bounds the framed body's top-level frame count.
+const maxBodyFrames = 5
+
 // Generator synthesizes structured programs. One Generator may produce
 // many programs; it is not safe for concurrent use.
 type Generator struct {
@@ -85,14 +84,8 @@ type Generator struct {
 
 // NewGenerator returns a structured generator.
 func NewGenerator(cfg GenConfig) *Generator {
-	if cfg.MaxBodyFrames == 0 {
-		cfg.MaxBodyFrames = 5
-	}
 	if cfg.Risky == 0 {
 		cfg.Risky = 20
-	}
-	if cfg.ProgTypes == nil {
-		cfg.ProgTypes = isa.AllProgramTypes
 	}
 	return &Generator{cfg: cfg}
 }
@@ -123,7 +116,7 @@ func (p *pstate) chance(n int) bool { return p.r.Intn(256) < n }
 
 // Generate synthesizes one structured program.
 func (g *Generator) Generate(r *rand.Rand) *isa.Program {
-	pt := g.cfg.ProgTypes[r.Intn(len(g.cfg.ProgTypes))]
+	pt := isa.AllProgramTypes[r.Intn(len(isa.AllProgramTypes))]
 	p := &pstate{
 		r:   r,
 		cfg: &g.cfg,
@@ -140,7 +133,7 @@ func (g *Generator) Generate(r *rand.Rand) *isa.Program {
 	if !g.cfg.DisableInitHeader {
 		p.genInitHeader()
 	}
-	nframes := 1 + r.Intn(g.cfg.MaxBodyFrames)
+	nframes := 1 + r.Intn(maxBodyFrames)
 	for i := 0; i < nframes; i++ {
 		p.genFrame(0)
 	}

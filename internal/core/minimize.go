@@ -25,23 +25,22 @@ type Reproducer struct {
 	Check func(prog *isa.Program) bool
 }
 
-// DefaultMinimizeBudget is the total wall-clock deadline Minimize applies
+// defaultMinimizeBudget is the total wall-clock deadline Minimize applies
 // when the caller does not choose one. Each candidate removal re-verifies
 // and re-executes the program, so an unbounded fixpoint over a
 // pathological reproducer (deep worklists, slow helpers) could stall a
 // campaign's post-merge minimization phase indefinitely; the budget turns
-// that into a best-effort shrink. A package variable so harnesses
-// (bvf-bench -minimize-budget) can tune it.
-var DefaultMinimizeBudget = 30 * time.Second
+// that into a best-effort shrink.
+const defaultMinimizeBudget = 30 * time.Second
 
 // MinimizeOptions bounds one minimization run.
 type MinimizeOptions struct {
 	// MaxRounds caps full back-to-front passes; <=0 selects 4.
 	MaxRounds int
 	// Budget is the total wall-clock deadline: 0 selects
-	// DefaultMinimizeBudget, negative disables the bound. On expiry the
-	// best reproducer found so far is returned — still bug-triggering,
-	// just possibly not minimal.
+	// defaultMinimizeBudget (30s), negative disables the bound. On
+	// expiry the best reproducer found so far is returned — still
+	// bug-triggering, just possibly not minimal.
 	Budget time.Duration
 	// RoundBudget bounds each pass: an expired pass is abandoned and the
 	// next one starts from the shrunken prefix. <=0 leaves passes
@@ -65,7 +64,7 @@ func MinimizeOpts(rep *Reproducer, prog *isa.Program, o MinimizeOptions) *isa.Pr
 	}
 	budget := o.Budget
 	if budget == 0 {
-		budget = DefaultMinimizeBudget
+		budget = defaultMinimizeBudget
 	}
 	var deadline time.Time
 	if budget > 0 {

@@ -31,11 +31,10 @@ type ParallelConfig struct {
 	// 1024. Syncs are barriers: determinism does not depend on the
 	// goroutine schedule because shards only interact at round edges.
 	SyncEvery int
-	// Progress, when non-nil, receives a periodic one-line progress
-	// report (iters/sec, acceptance rate, coverage, bugs found).
+	// Progress, when non-nil, receives a one-line progress report
+	// (iters/sec, acceptance rate, coverage, bugs found, stage shares)
+	// every reportEvery and once more when Run's last round ends.
 	Progress io.Writer
-	// ReportEvery is the progress-report interval. Default 5s.
-	ReportEvery time.Duration
 	// CheckpointPath, when non-empty, makes Run write a crash-consistent
 	// snapshot there every CheckpointEvery rounds and after the final
 	// round, so an interrupted campaign can resume instead of restarting.
@@ -73,33 +72,28 @@ type ParallelCampaign struct {
 	// stopped requests a graceful stop; Run honours it at round edges.
 	stopped atomic.Bool
 
-	// Live counters for the progress reporter (the only state touched
-	// concurrently by shards mid-round).
-	liveIters    atomic.Int64
-	liveAccepted atomic.Int64
-	liveCoverage atomic.Int64
-	liveBugs     atomic.Int64
-	// liveStageNS accumulates per-stage wall-clock nanoseconds across all
-	// shards, indexed in stageNames order.
-	liveStageNS [len(stageNames)]atomic.Int64
+	// live is what the progress reporter prints: the shard sums
+	// published at the latest round barrier. Shards never write it.
+	live atomic.Pointer[progress]
+}
+
+// progress is one published reporter view, summed over the shards.
+type progress struct {
+	iters, accepted, coverage, bugs int
+	// stageNS is per-stage wall clock in stageNames order.
+	stageNS [len(stageNames)]int64
 }
 
 // exchangeTop caps how many coverage-novel programs one shard broadcasts
 // to the others per sync round.
 const exchangeTop = 8
 
-// stageNames fixes the reporter's stage order, one entry per stage a
-// Campaign reports through OnStage; stageIndex maps a stage name onto it.
-var stageNames = [...]string{"gen", "verify", "cache", "exec", "oracle", "triage"}
+// reportEvery is the progress reporter's interval.
+const reportEvery = 5 * time.Second
 
-func stageIndex(stage string) int {
-	for i, n := range stageNames {
-		if n == stage {
-			return i
-		}
-	}
-	return -1
-}
+// stageNames fixes the reporter's stage order, one entry per stage a
+// Campaign books into Stats.StageNanos.
+var stageNames = [...]string{"gen", "verify", "cache", "exec", "oracle", "triage"}
 
 // NewParallelCampaign builds a sharded campaign.
 func NewParallelCampaign(cfg ParallelConfig) *ParallelCampaign {
@@ -108,9 +102,6 @@ func NewParallelCampaign(cfg ParallelConfig) *ParallelCampaign {
 	}
 	if cfg.SyncEvery <= 0 {
 		cfg.SyncEvery = 1024
-	}
-	if cfg.ReportEvery <= 0 {
-		cfg.ReportEvery = 5 * time.Second
 	}
 	if cfg.CheckpointEvery <= 0 {
 		cfg.CheckpointEvery = 8
@@ -126,8 +117,6 @@ func NewParallelCampaign(cfg ParallelConfig) *ParallelCampaign {
 	for i := 0; i < cfg.Workers; i++ {
 		sc := cfg.CampaignConfig
 		sc.Seed = cfg.Seed + int64(i)
-		sc.OnIteration = func() { p.liveIters.Add(1) }
-		sc.OnStage = p.recordStage
 		// Shards skip reproducer minimization: every shard rediscovers
 		// roughly the same bug set, and minimization dominates the
 		// per-shard fixed cost (~80% measured). mergeStats minimizes
@@ -181,10 +170,11 @@ type shardOutcome struct {
 // supervisor: a shard that panics past the per-iteration containment is
 // recorded as a HarnessCrash, its unfinished round quota is refunded
 // (shard statistics only advance at round ends, so nothing is double
-// counted), and the shard is rebuilt with a fresh kernel and a derived
-// RNG seed after an exponential backoff. A shard that keeps crashing
-// trips the MaxRestarts circuit breaker: it is retired and its remaining
-// quota is redistributed to the surviving shards.
+// counted), and the shard is rebuilt at once with a fresh kernel and a
+// derived RNG seed; sleeping first would stall the healthy shards at the
+// barrier too. A shard that keeps crashing trips the MaxRestarts circuit
+// breaker: it is retired and its remaining quota is redistributed to the
+// surviving shards.
 //
 // On error Run still merges every healthy shard's statistics and returns
 // them alongside the error — hours of fuzzing results from the other
@@ -254,7 +244,6 @@ func (p *ParallelCampaign) Run(total int) (*Stats, error) {
 					p.redistribute(i, quota)
 					continue
 				}
-				time.Sleep(sup.backoff(p.restarts[i]))
 				p.rebuildShard(i)
 				continue
 			}
@@ -275,6 +264,9 @@ func (p *ParallelCampaign) Run(total int) (*Stats, error) {
 			}
 		}
 	}
+	// The last line reports the rounds; minimizing merged bugs is not
+	// fuzzing and must not dilute its rate.
+	stopReport()
 	p.mergeStats()
 	if p.cfg.CheckpointPath != "" && firstErr == nil {
 		if err := p.Checkpoint(p.cfg.CheckpointPath); err != nil {
@@ -300,8 +292,6 @@ func (p *ParallelCampaign) rebuildShard(i int) {
 	old := p.shards[i]
 	sc := p.cfg.CampaignConfig
 	sc.Seed = deriveSeed(p.cfg.Seed, i, p.restarts[i])
-	sc.OnIteration = func() { p.liveIters.Add(1) }
-	sc.OnStage = p.recordStage
 	sc.NoMinimize = true
 	nc := NewCampaign(sc)
 	nc.stats = old.stats
@@ -384,24 +374,35 @@ func (p *ParallelCampaign) sync() {
 	p.recordRound()
 }
 
-// recordRound appends a global coverage-curve point and refreshes the
-// reporter counters. Runs at the barrier only.
+// recordRound appends a global coverage-curve point and publishes the
+// reporter's view. Runs at the barrier only.
 func (p *ParallelCampaign) recordRound() {
-	iters, accepted, nbugs := 0, 0, map[BugKey]bool{}
+	pr := p.publish()
+	p.stats.Curve = append(p.stats.Curve, CurvePoint{
+		Iteration: pr.iters, Branches: pr.coverage,
+	})
+}
+
+// publish sums the shard statistics into a fresh reporter view and
+// stores it. It reads shard state, so it runs only while no shard does:
+// at a round barrier, or before Run starts the first round.
+func (p *ParallelCampaign) publish() *progress {
+	pr := &progress{coverage: p.global.Count()}
+	nbugs := map[BugKey]bool{}
 	for _, sh := range p.shards {
 		st := sh.Stats()
-		iters += st.Iterations
-		accepted += st.Accepted
+		pr.iters += st.Iterations
+		pr.accepted += st.Accepted
 		for key := range st.Bugs {
 			nbugs[key] = true
 		}
+		for i, name := range stageNames {
+			pr.stageNS[i] += st.StageNanos[name]
+		}
 	}
-	p.stats.Curve = append(p.stats.Curve, CurvePoint{
-		Iteration: iters, Branches: p.global.Count(),
-	})
-	p.liveAccepted.Store(int64(accepted))
-	p.liveCoverage.Store(int64(p.global.Count()))
-	p.liveBugs.Store(int64(len(nbugs)))
+	pr.bugs = len(nbugs)
+	p.live.Store(pr)
+	return pr
 }
 
 // mergeStats folds the shard statistics into p.stats with all
@@ -450,62 +451,69 @@ func (p *ParallelCampaign) mergeStats() {
 	p.stats = merged
 }
 
-// recordStage folds one shard stage duration into the live reporter
-// counters (concurrency-safe; called from every shard goroutine).
-func (p *ParallelCampaign) recordStage(stage string, d time.Duration) {
-	if i := stageIndex(stage); i >= 0 {
-		p.liveStageNS[i].Add(int64(d))
-	}
-}
-
-// startReporter launches the periodic progress printer; the returned
-// function stops it. The reporter reads only atomic counters, so it is
-// race-free against running shards.
+// startReporter launches the progress printer; the returned function
+// prints a last line and stops it. The reporter reads only what round
+// barriers published, so it never races a running shard. Its rate
+// baseline is the published sum at start, so a resumed or repeated Run
+// counts only its own iterations.
 func (p *ParallelCampaign) startReporter() func() {
 	if p.cfg.Progress == nil {
 		return func() {}
 	}
-	done := make(chan struct{})
-	var once sync.Once
+	base, start := p.publish().iters, time.Now()
+	done, exited := make(chan struct{}), make(chan struct{})
 	go func() {
-		tick := time.NewTicker(p.cfg.ReportEvery)
+		defer close(exited)
+		tick := time.NewTicker(reportEvery)
 		defer tick.Stop()
-		start := time.Now()
-		last, lastAt := int64(0), start
+		last, lastAt := base, start
 		for {
 			select {
-			case <-done:
-				return
 			case now := <-tick.C:
-				iters := p.liveIters.Load()
-				rate := float64(iters-last) / now.Sub(lastAt).Seconds()
-				last, lastAt = iters, now
-				accepted := p.liveAccepted.Load()
-				acc := 0.0
-				if iters > 0 {
-					acc = float64(accepted) / float64(iters)
-				}
-				var stageNS [len(stageNames)]int64
-				var totalNS int64
-				for i := range stageNS {
-					stageNS[i] = p.liveStageNS[i].Load()
-					totalNS += stageNS[i]
-				}
-				stages := ""
-				if totalNS > 0 {
-					for i, n := range stageNames {
-						stages += fmt.Sprintf(" %s %.0f%%", n,
-							100*float64(stageNS[i])/float64(totalNS))
-					}
-				}
-				fmt.Fprintf(p.cfg.Progress,
-					"[%8s] %d iters  %.0f/s  accept %.1f%%  coverage %d  bugs %d%s\n",
-					now.Sub(start).Round(time.Second), iters, rate, 100*acc,
-					p.liveCoverage.Load(), p.liveBugs.Load(), stages)
+				last, lastAt = p.report(start, last, lastAt, now), now
+			case <-done:
+				// The last interval may be a sliver of a round, so the
+				// last line's rate is the whole run's.
+				p.report(start, base, start, time.Now())
+				return
 			}
 		}
 	}()
-	return func() { once.Do(func() { close(done) }) }
+	var once sync.Once
+	return func() {
+		once.Do(func() {
+			close(done)
+			<-exited
+		})
+	}
+}
+
+// report prints one progress line from the latest published view, its
+// rate taken over the iterations past `from` since `fromAt`, and returns
+// the iteration count it printed.
+func (p *ParallelCampaign) report(start time.Time, from int, fromAt, now time.Time) int {
+	pr := p.live.Load()
+	rate := float64(pr.iters-from) / now.Sub(fromAt).Seconds()
+	acc := 0.0
+	if pr.iters > 0 {
+		acc = float64(pr.accepted) / float64(pr.iters)
+	}
+	var totalNS int64
+	for _, ns := range pr.stageNS {
+		totalNS += ns
+	}
+	stages := ""
+	if totalNS > 0 {
+		for i, n := range stageNames {
+			stages += fmt.Sprintf(" %s %.0f%%", n,
+				100*float64(pr.stageNS[i])/float64(totalNS))
+		}
+	}
+	fmt.Fprintf(p.cfg.Progress,
+		"[%8s] %d iters  %.0f/s  accept %.1f%%  coverage %d  bugs %d%s\n",
+		now.Sub(start).Round(time.Second), pr.iters, rate, 100*acc,
+		pr.coverage, pr.bugs, stages)
+	return pr.iters
 }
 
 func remaining(quota []int) bool {

@@ -83,8 +83,9 @@ type Stats struct {
 	InsnClassMix map[string]int
 
 	// StageNanos accumulates per-stage wall-clock nanoseconds, keyed by
-	// pipeline stage ("gen", "verify", "exec", "triage"). It answers
-	// "where does an iteration's time go" without a profiler attached.
+	// pipeline stage ("gen", "verify", "cache", "exec", "oracle",
+	// "triage"). It answers "where does an iteration's time go" without a
+	// profiler attached.
 	StageNanos map[string]int64
 	// PeakWorklist is the largest verifier exploration worklist observed
 	// across every accepted program (Result.PeakStates high-water mark).

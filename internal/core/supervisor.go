@@ -5,7 +5,6 @@ import (
 	"runtime/debug"
 	"time"
 
-	"repro/internal/backoff"
 	"repro/internal/isa"
 )
 
@@ -23,11 +22,6 @@ type SupervisorConfig struct {
 	// breaker: a shard that crashes more than this many times is retired
 	// and its remaining iteration quota redistributed. Default 8.
 	MaxRestarts int
-	// BackoffBase is the sleep before the first restart of a shard; each
-	// subsequent restart doubles it, capped at BackoffMax. Defaults
-	// 50ms / 5s.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
 	// VerifyTimeout bounds wall-clock verification per program. Default
 	// 2s; negative disables the verify watchdog while supervised.
 	VerifyTimeout time.Duration
@@ -43,12 +37,6 @@ func (s SupervisorConfig) withDefaults() SupervisorConfig {
 	}
 	if s.MaxRestarts == 0 {
 		s.MaxRestarts = 8
-	}
-	if s.BackoffBase == 0 {
-		s.BackoffBase = 50 * time.Millisecond
-	}
-	if s.BackoffMax == 0 {
-		s.BackoffMax = 5 * time.Second
 	}
 	if s.VerifyTimeout == 0 {
 		s.VerifyTimeout = 2 * time.Second
@@ -73,13 +61,6 @@ func (s SupervisorConfig) execTimeout() time.Duration {
 		return 0
 	}
 	return s.ExecTimeout
-}
-
-// backoff returns the sleep before restart number n (1-based),
-// exponential in n and capped at BackoffMax (shared schedule in
-// internal/backoff).
-func (s SupervisorConfig) backoff(n int) time.Duration {
-	return backoff.Exp(s.BackoffBase, s.BackoffMax).Delay(n)
 }
 
 // HarnessCrash is one contained harness panic — in a fuzzer a harness

@@ -2,6 +2,7 @@ package core
 
 import (
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -15,11 +16,7 @@ import (
 
 func supervisedConfig(workers int, seed int64) ParallelConfig {
 	cfg := parallelConfig(workers, seed)
-	cfg.Supervision = SupervisorConfig{
-		Enabled:     true,
-		BackoffBase: time.Millisecond,
-		BackoffMax:  4 * time.Millisecond,
-	}
+	cfg.Supervision = SupervisorConfig{Enabled: true}
 	return cfg
 }
 
@@ -352,7 +349,6 @@ func TestReporterStopIdempotent(t *testing.T) {
 
 	cfg := parallelConfig(2, 1)
 	cfg.Progress = discardWriter{}
-	cfg.ReportEvery = time.Millisecond
 	p = NewParallelCampaign(cfg)
 	stop = p.startReporter()
 	time.Sleep(5 * time.Millisecond)
@@ -368,7 +364,6 @@ func TestReporterStageShares(t *testing.T) {
 	cfg.Oracle = true
 	out := &lockedBuffer{}
 	cfg.Progress = out
-	cfg.ReportEvery = time.Millisecond
 	if _, err := NewParallelCampaign(cfg).Run(1000); err != nil {
 		t.Fatal(err)
 	}
@@ -380,6 +375,30 @@ func TestReporterStageShares(t *testing.T) {
 	}
 	if !regexp.MustCompile(` oracle [1-9][0-9]*%`).MatchString(lines) {
 		t.Errorf("oracle share never above 0%%:\n%s", lines)
+	}
+}
+
+// TestReporterLastLine: a campaign shorter than one report interval
+// still gets one progress line, printed when the reporter stops, and it
+// counts every iteration the campaign ran.
+func TestReporterLastLine(t *testing.T) {
+	cfg := parallelConfig(2, 1)
+	out := &lockedBuffer{}
+	cfg.Progress = out
+	p := NewParallelCampaign(cfg)
+	if _, err := p.Run(3000); err != nil {
+		t.Fatal(err)
+	}
+	line := out.String()
+	if n := strings.Count(line, "\n"); n != 1 {
+		t.Fatalf("got %d progress lines, want exactly 1:\n%s", n, line)
+	}
+	m := regexp.MustCompile(`^\[ *\d+s\] (\d+) iters `).FindStringSubmatch(line)
+	if m == nil {
+		t.Fatalf("progress line has an unexpected format: %q", line)
+	}
+	if got, want := m[1], strconv.Itoa(p.Stats().Iterations); got != want {
+		t.Errorf("last line counts %s iterations, Stats().Iterations = %s: %q", got, want, line)
 	}
 }
 

@@ -50,44 +50,15 @@ func Tools() []Tool {
 	}
 }
 
-// campaignWorkers is the number of shards each experiment campaign runs
-// with. The default of 1 keeps the classic single-threaded campaigns the
-// reproduction was validated against; cmd/bvf-bench raises it via the
-// -workers flag to spread each campaign's iteration budget across a
-// sharded core.ParallelCampaign.
-var campaignWorkers = 1
-
-// SetCampaignWorkers selects how many parallel shards every experiment
-// campaign uses (values < 1 are treated as 1). Results stay deterministic
-// for a fixed worker count, but differ between worker counts: shard i
-// fuzzes with seed+i and the iteration axis becomes global.
-func SetCampaignWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	campaignWorkers = n
-}
-
-// campaignSupervision is the supervision policy experiment campaigns run
-// with; off by default so the validated classic campaigns stay
-// byte-for-byte unchanged (a fixed-seed run is bit-identical either way,
-// but off avoids even arming the watchdog clocks).
-var campaignSupervision core.SupervisorConfig
-
-// SetSupervision applies a supervision policy (panic containment,
-// watchdogs, shard restarts) to every subsequent experiment campaign.
-func SetSupervision(s core.SupervisorConfig) {
-	campaignSupervision = s
-}
-
+// runCampaign runs one experiment campaign: a single unsupervised
+// instance, the configuration the §6 reproduction is validated against.
 func runCampaign(tool Tool, v kernel.Version, seed int64, iters int) (*core.Stats, error) {
 	cfg := core.CampaignConfig{
-		Source:      tool.Source,
-		Version:     v,
-		Sanitize:    tool.Sanitize,
-		Seed:        seed,
-		MutateBias:  tool.MutateBias,
-		Supervision: campaignSupervision,
+		Source:     tool.Source,
+		Version:    v,
+		Sanitize:   tool.Sanitize,
+		Seed:       seed,
+		MutateBias: tool.MutateBias,
 		// The paper's tools schedule one mutant per corpus pick; the
 		// sibling-batch scheduler reweights the generate/mutate mix
 		// (one bias draw now yields a whole batch), which shifts
@@ -97,14 +68,7 @@ func runCampaign(tool Tool, v kernel.Version, seed int64, iters int) (*core.Stat
 		// EXPERIMENTS.md "Cache-locality scheduling" and BENCH_6.json.
 		MutateBatch: 1,
 	}
-	if campaignWorkers > 1 {
-		c := core.NewParallelCampaign(core.ParallelConfig{
-			CampaignConfig: cfg, Workers: campaignWorkers,
-		})
-		return c.Run(iters)
-	}
-	c := core.NewCampaign(cfg)
-	return c.Run(iters)
+	return core.NewCampaign(cfg).Run(iters)
 }
 
 // ---------------------------------------------------------------------

@@ -189,15 +189,6 @@ func SizeFromBytes(n int) uint8 {
 	panic(fmt.Sprintf("isa: invalid access width %d", n))
 }
 
-// IsLoadClass reports whether the class reads memory.
-func IsLoadClass(class uint8) bool { return class == ClassLD || class == ClassLDX }
-
-// IsStoreClass reports whether the class writes memory.
-func IsStoreClass(class uint8) bool { return class == ClassST || class == ClassSTX }
-
-// IsALUClass reports whether the class is arithmetic.
-func IsALUClass(class uint8) bool { return class == ClassALU || class == ClassALU64 }
-
 // IsJmpClass reports whether the class is a jump.
 func IsJmpClass(class uint8) bool { return class == ClassJMP || class == ClassJMP32 }
 

@@ -79,6 +79,10 @@ func (v Version) HasKfuncs() bool { return v != V515 }
 // trips over when the rewritten program is duplicated to user space.
 const kmallocMax = 512 * isa.InsnSize
 
+// verifierBudget caps verification work per program, in simulated
+// instructions.
+const verifierBudget = 50000
+
 // Config parameterizes a simulated kernel.
 type Config struct {
 	Version Version
@@ -89,8 +93,6 @@ type Config struct {
 	Sanitize bool
 	// Cov collects verifier branch coverage (kcov) when non-nil.
 	Cov *coverage.Map
-	// VerifierBudget caps verification work per program.
-	VerifierBudget int
 	// VerifyTimeout, when positive, arms a wall-clock watchdog on each
 	// verification (worklist explosions); a timed-out load returns
 	// *verifier.TimeoutError.
@@ -191,9 +193,6 @@ func New(cfg Config) *Kernel {
 	if cfg.Bugs == nil {
 		cfg.Bugs = cfg.Version.DefaultBugs()
 	}
-	if cfg.VerifierBudget == 0 {
-		cfg.VerifierBudget = 50000
-	}
 	k := &Kernel{
 		Cfg:    cfg,
 		M:      runtime.NewMachine(cfg.Bugs),
@@ -289,7 +288,7 @@ func (k *Kernel) VerifierConfig() *verifier.Config {
 		MapByFD:          k.mapByFD,
 		BTFVarAddr:       k.btfVarAddr,
 		Cov:              k.Cfg.Cov,
-		MaxInsnProcessed: k.Cfg.VerifierBudget,
+		MaxInsnProcessed: verifierBudget,
 		DisableKfuncs:    !k.Cfg.Version.HasKfuncs(),
 		Timeout:          k.Cfg.VerifyTimeout,
 		RecordStates:     k.Cfg.Oracle,

@@ -36,11 +36,6 @@ type ManagerConfig struct {
 	// the HTTP layer (NewServer), recorded here so manager and server
 	// share one config.
 	MaxInflight int
-	// MaxStrikes is how many recovered panics a campaign's machinery may
-	// take before the campaign transitions to Failed. Default 3: a
-	// one-off panic is contained and the caller retries; a persistent
-	// one trips the breaker instead of looping forever.
-	MaxStrikes int
 	// RetryAfter is the hint attached to 429 responses. Default
 	// PollInterval (and at least one second).
 	RetryAfter time.Duration
@@ -108,6 +103,12 @@ type campaignRecord struct {
 
 const managerCheckpointFile = "manager.ckpt"
 
+// maxStrikes is how many recovered panics a campaign's machinery may
+// take before the campaign transitions to Failed: a one-off panic is
+// contained and the caller retries; a persistent one trips the breaker
+// instead of looping forever.
+const maxStrikes = 3
+
 // NewManager builds a manager, restoring the campaign registry from
 // StateDir when one was checkpointed there. Per-campaign restore
 // failures are isolated: a campaign whose lease table or finding store
@@ -119,9 +120,6 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 	}
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = cfg.LeaseTTL / 4
-	}
-	if cfg.MaxStrikes <= 0 {
-		cfg.MaxStrikes = 3
 	}
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = cfg.PollInterval
@@ -424,7 +422,7 @@ func (m *Manager) sweep() {
 func (m *Manager) Done() <-chan struct{} { return m.done }
 
 // guard runs one campaign operation behind the per-campaign fault point
-// and a panic barrier. A recovered panic is a strike; at MaxStrikes the
+// and a panic barrier. A recovered panic is a strike; at maxStrikes the
 // campaign transitions to Failed — its coordinator stops being routed
 // to, its evidence stays on disk — and every other campaign is
 // untouched. The error return surfaces as a 500, which clients retry
@@ -442,8 +440,8 @@ func (m *Manager) guard(c *campaign, op string, fn func()) (err error) {
 			return
 		}
 		c.strikes++
-		m.logf("campaign %s: %s panicked (strike %d/%d): %v", c.id, op, c.strikes, m.cfg.MaxStrikes, r)
-		if c.strikes >= m.cfg.MaxStrikes {
+		m.logf("campaign %s: %s panicked (strike %d/%d): %v", c.id, op, c.strikes, maxStrikes, r)
+		if c.strikes >= maxStrikes {
 			c.state = StateFailed
 			c.failure = fmt.Sprintf("%s panicked %d times, last: %v", op, c.strikes, r)
 			m.logf("campaign %s FAILED (evidence preserved in %s): %s", c.id, m.campaignDir(c.id), c.failure)

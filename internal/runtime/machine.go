@@ -187,6 +187,3 @@ type ExecOutcome struct {
 	// or *StepLimitError.
 	Err error
 }
-
-// Faulted reports whether the execution ended in any fault.
-func (o *ExecOutcome) Faulted() bool { return o.Err != nil }

@@ -55,9 +55,6 @@ func fls64(x uint64) uint {
 // IsConst reports whether the tnum represents exactly one value.
 func (t Tnum) IsConst() bool { return t.Mask == 0 }
 
-// EqConst reports whether t is the constant v.
-func (t Tnum) EqConst(v uint64) bool { return t.IsConst() && t.Value == v }
-
 // Contains reports whether concrete value v is a member of t.
 func (t Tnum) Contains(v uint64) bool { return v&^t.Mask == t.Value }
 
@@ -206,11 +203,6 @@ func (t Tnum) WithSubreg(subreg Tnum) Tnum {
 	hi := Tnum{Value: t.Value &^ 0xffffffff, Mask: t.Mask &^ 0xffffffff}
 	lo := subreg.Cast(4)
 	return Tnum{Value: hi.Value | lo.Value, Mask: hi.Mask | lo.Mask}
-}
-
-// ConstSubreg returns t with its low 32 bits set to the constant v.
-func (t Tnum) ConstSubreg(v uint32) Tnum {
-	return t.WithSubreg(Const(uint64(v)))
 }
 
 // Min returns the smallest unsigned value in t.

@@ -23,15 +23,6 @@ type Config struct {
 	// flaky after the cap stays quarantined (with its evidence) — it is
 	// reported as such, never silently dropped.
 	RetryCap int
-	// BackoffBase/BackoffMax shape the exponential backoff between
-	// quarantine re-validation rounds.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// MinimizeRounds/MinimizeBudget/MinimizeRoundBudget bound the
-	// minimization stage (see core.MinimizeOptions).
-	MinimizeRounds      int
-	MinimizeBudget      time.Duration
-	MinimizeRoundBudget time.Duration
 	// MinimizeRetries is how many watchdog-tripped minimization attempts
 	// are retried (with backoff) before falling back to the unminimized
 	// reproducer.
@@ -41,24 +32,25 @@ type Config struct {
 	Sleep func(time.Duration)
 }
 
+// Fixed gauntlet bounds.
+const (
+	// backoffBase/backoffMax shape the exponential backoff between
+	// quarantine re-validation rounds and minimization retries.
+	backoffBase = 100 * time.Millisecond
+	backoffMax  = 2 * time.Second
+	// minimizeRounds and minimizeRoundBudget bound the minimization
+	// stage; its total wall clock is core's default budget (see
+	// core.MinimizeOptions).
+	minimizeRounds      = 4
+	minimizeRoundBudget = 2 * time.Second
+)
+
 func (c Config) withDefaults() Config {
 	if c.Replays <= 0 {
 		c.Replays = 5
 	}
 	if c.RetryCap <= 0 {
 		c.RetryCap = 3
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 100 * time.Millisecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 2 * time.Second
-	}
-	if c.MinimizeRounds <= 0 {
-		c.MinimizeRounds = 4
-	}
-	if c.MinimizeRoundBudget == 0 {
-		c.MinimizeRoundBudget = 2 * time.Second
 	}
 	if c.MinimizeRetries < 0 {
 		c.MinimizeRetries = 0
@@ -215,7 +207,7 @@ func (g *Gauntlet) stageReplay(f *Finding) {
 // backoff returns the exponential re-validation delay for round n
 // (shared schedule in internal/backoff).
 func (g *Gauntlet) backoff(n int) time.Duration {
-	return backoff.Exp(g.cfg.BackoffBase, g.cfg.BackoffMax).Delay(n)
+	return backoff.Exp(backoffBase, backoffMax).Delay(n)
 }
 
 // artifactCorrelated reports whether a non-reproducing finding traces
@@ -332,9 +324,7 @@ func (g *Gauntlet) stageMinimize(f *Finding) {
 			continue
 		}
 		f.Minimized = core.MinimizeOpts(rep, f.Raw.Program, core.MinimizeOptions{
-			MaxRounds:   g.cfg.MinimizeRounds,
-			Budget:      g.cfg.MinimizeBudget,
-			RoundBudget: g.cfg.MinimizeRoundBudget,
+			MaxRounds: minimizeRounds, RoundBudget: minimizeRoundBudget,
 		})
 		return
 	}

@@ -1,9 +1,6 @@
 package verifier
 
-import (
-	"repro/internal/btf"
-	"repro/internal/isa"
-)
+import "repro/internal/isa"
 
 // CtxFieldKind classifies what a context field load yields.
 type CtxFieldKind int
@@ -139,12 +136,3 @@ func ptRegsLayout() *CtxLayout {
 // LayoutFor returns the context layout of a program type, or nil if the
 // type has no accessible context.
 func LayoutFor(t isa.ProgramType) *CtxLayout { return ctxLayouts[t] }
-
-// CtxBTFType returns the BTF type a context pointer field yields.
-func (f *CtxField) CtxBTFType() btf.TypeID {
-	switch f.Kind {
-	case CtxBTFTask, CtxBTFTaskNull:
-		return btf.TaskStructID
-	}
-	return 0
-}

@@ -226,7 +226,7 @@ func exploreStates(prog *isa.Program, cfg *Config, limit int) []*State {
 	if prog.Validate(isa.MaxInsns) != nil || (LayoutFor(prog.Type) == nil && prog.Type != isa.ProgTypeUnspec) {
 		return nil
 	}
-	cfg.MaxInsnProcessed, cfg.MaxStatesPerInsn = 100000, 16
+	cfg.MaxInsnProcessed = 100000
 	e := getEnv(prog, cfg)
 	defer e.teardown()
 	var states []*State

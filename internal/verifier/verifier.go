@@ -74,12 +74,12 @@ type Config struct {
 	// MaxInsnProcessed bounds the total simulated instructions
 	// (kernel: 1M; scaled down for fuzzing throughput).
 	MaxInsnProcessed int
-	// MaxStatesPerInsn bounds remembered prune states per instruction.
-	MaxStatesPerInsn int
 	// DisableKfuncs rejects kernel-function calls, modeling kernels
 	// predating kfunc support (v5.15).
 	DisableKfuncs bool
-	// EnableStats makes Verify fill the Result counters.
+	// LogLevel > 0 writes each simulated instruction to the verifier
+	// log (Result.Log, Error.Log); > 1 adds the current frame's
+	// registers.
 	LogLevel int
 	// Timeout, when positive, bounds the wall-clock time of one Verify
 	// call; exceeding it aborts the exploration with a *TimeoutError.
@@ -432,15 +432,15 @@ func addCacheNanos(cfg *Config, d time.Duration) {
 	}
 }
 
+// maxStatesPerInsn bounds remembered prune states per instruction.
+const maxStatesPerInsn = 16
+
 // verify is the scratch verification path. capture, when non-nil, marks a
 // cache-miss run: the final coverage profile is exported into it for the
 // verdict-cache entry, and the trace-prefix snapshot path is active.
 func verify(prog *isa.Program, cfg *Config, capture *[]coverage.SiteCount) (*Result, error) {
 	if cfg.MaxInsnProcessed == 0 {
 		cfg.MaxInsnProcessed = 100000
-	}
-	if cfg.MaxStatesPerInsn == 0 {
-		cfg.MaxStatesPerInsn = 16
 	}
 	e := getEnv(prog, cfg)
 	defer e.teardown()
@@ -667,7 +667,7 @@ func (e *env) pruneOrRecord(idx int, st *State) (bool, error) {
 			return true, nil
 		}
 	}
-	if len(e.visited[idx]) < e.cfg.MaxStatesPerInsn {
+	if len(e.visited[idx]) < maxStatesPerInsn {
 		e.snapCounter++
 		snap := e.cloneState(st)
 		snap.Insn = idx

@@ -145,15 +145,12 @@ type BenchReport struct {
 	SoundnessChecks     int  `json:"soundness_checks,omitempty"`
 	SoundnessViolations int  `json:"soundness_violations,omitempty"`
 	// Cache fields are zero unless -cache armed the verdict cache. The
-	// two rates are derived (hits/(hits+misses)) so reports are
-	// comparable at a glance without recomputing them.
-	Cached             bool    `json:"cached"`
-	CacheHits          int64   `json:"cache_hits,omitempty"`
-	CacheMisses        int64   `json:"cache_misses,omitempty"`
-	CacheHitRate       float64 `json:"cache_hit_rate,omitempty"`
-	CachePrefixHits    int64   `json:"cache_prefix_hits,omitempty"`
-	CachePrefixMisses  int64   `json:"cache_prefix_misses,omitempty"`
-	CachePrefixHitRate float64 `json:"cache_prefix_hit_rate,omitempty"`
+	// rate is derived (hits/(hits+misses)) so reports are comparable at
+	// a glance without recomputing it.
+	Cached       bool    `json:"cached"`
+	CacheHits    int64   `json:"cache_hits,omitempty"`
+	CacheMisses  int64   `json:"cache_misses,omitempty"`
+	CacheHitRate float64 `json:"cache_hit_rate,omitempty"`
 	// Mutation-scheduler shape: the configured sibling-batch size and
 	// the batch/sibling counts the campaign actually recorded.
 	MutateBatch    int `json:"mutate_batch"`
@@ -184,11 +181,9 @@ func buildReport(st *core.Stats, elapsed time.Duration, allocs, bytes uint64, or
 		SoundnessChecks:     st.SoundnessChecks,
 		SoundnessViolations: st.SoundnessViolations,
 
-		Cached:            cached,
-		CacheHits:         st.CacheHits,
-		CacheMisses:       st.CacheMisses,
-		CachePrefixHits:   st.CachePrefixHits,
-		CachePrefixMisses: st.CachePrefixMisses,
+		Cached:      cached,
+		CacheHits:   st.CacheHits,
+		CacheMisses: st.CacheMisses,
 
 		MutateBatch:    batch,
 		MutateBatches:  st.MutateBatches,
@@ -196,9 +191,6 @@ func buildReport(st *core.Stats, elapsed time.Duration, allocs, bytes uint64, or
 	}
 	if lk := rep.CacheHits + rep.CacheMisses; lk > 0 {
 		rep.CacheHitRate = float64(rep.CacheHits) / float64(lk)
-	}
-	if lk := rep.CachePrefixHits + rep.CachePrefixMisses; lk > 0 {
-		rep.CachePrefixHitRate = float64(rep.CachePrefixHits) / float64(lk)
 	}
 	accounted := 0.0
 	for stage, ns := range st.StageNanos {
@@ -265,9 +257,8 @@ func runBenchJSON(path string, budget int, oracle, cached bool, baselinePath str
 			rep.SoundnessChecks, rep.SoundnessViolations, rep.StageSeconds["oracle"])
 	}
 	if cached {
-		fmt.Printf("bench: verdict cache %d/%d hits (%.1f%%), prefix %d/%d (%.1f%%), batch %d (%d batches, %d siblings)\n",
+		fmt.Printf("bench: verdict cache %d/%d hits (%.1f%%), batch %d (%d batches, %d siblings)\n",
 			rep.CacheHits, rep.CacheHits+rep.CacheMisses, 100*rep.CacheHitRate,
-			rep.CachePrefixHits, rep.CachePrefixHits+rep.CachePrefixMisses, 100*rep.CachePrefixHitRate,
 			rep.MutateBatch, rep.MutateBatches, rep.MutateSiblings)
 	}
 	if minHitRate > 0 && rep.CacheHitRate < minHitRate {

@@ -76,21 +76,15 @@ func TestBenchReportCacheCounters(t *testing.T) {
 	st.Iterations = 10
 	st.CacheHits = 7
 	st.CacheMisses = 3
-	st.CachePrefixHits = 2
-	st.CachePrefixMisses = 1
 	st.MutateBatches = 4
 	st.MutateSiblings = 32
 
 	rep := buildReport(st, time.Second, 0, 0, false, true, 8)
-	if !rep.Cached || rep.CacheHits != 7 || rep.CacheMisses != 3 ||
-		rep.CachePrefixHits != 2 || rep.CachePrefixMisses != 1 {
+	if !rep.Cached || rep.CacheHits != 7 || rep.CacheMisses != 3 {
 		t.Errorf("cache fields not propagated: %+v", rep)
 	}
 	if rep.CacheHitRate != 0.7 {
 		t.Errorf("cache_hit_rate = %v, want 0.7", rep.CacheHitRate)
-	}
-	if math.Abs(rep.CachePrefixHitRate-2.0/3.0) > 1e-12 {
-		t.Errorf("cache_prefix_hit_rate = %v, want 2/3", rep.CachePrefixHitRate)
 	}
 	if rep.MutateBatch != 8 || rep.MutateBatches != 4 || rep.MutateSiblings != 32 {
 		t.Errorf("mutation-scheduler fields not propagated: %+v", rep)

@@ -70,12 +70,12 @@ type CampaignConfig struct {
 	// MutateBatch is the sibling-batch size of the mutation scheduler:
 	// every corpus-parent pick emits this many mutant siblings on
 	// consecutive iterations before the next pick/generate decision.
-	// Consecutive siblings share the parent's structure, so the verdict
-	// cache sees their common trace prefix while it is still
-	// second-sight-warm — the cache-locality scheduling this repo's
-	// perf work is built around. 0 selects the default (16, the knee of
-	// the measured hit-rate/throughput curve — see EXPERIMENTS.md); 1
-	// (or negative) restores classic one-mutant-per-pick scheduling.
+	// Consecutive siblings are small edits of one parent, so a mutant
+	// that lands back on an already-verified program meets its verdict
+	// while it is still in the cache. 0 selects the default (16, the
+	// knee of the measured hit-rate/throughput curve — see
+	// EXPERIMENTS.md); 1 (or negative) restores classic
+	// one-mutant-per-pick scheduling.
 	MutateBatch int
 	// NoMinimize skips reproducer minimization on discovered bugs.
 	NoMinimize bool
@@ -198,28 +198,38 @@ func (c *Campaign) recycle() error {
 		Cache:         c.cfg.Cache,
 		CacheNanos:    &c.cacheNanos,
 	})
-	c.pool = c.pool[:0]
-	for _, spec := range poolSpecs {
-		fd, err := c.k.CreateMap(spec)
-		if err != nil {
-			return fmt.Errorf("campaign: pool map %s: %w", spec.Name, err)
-		}
-		c.pool = append(c.pool, MapHandle{FD: fd, Spec: spec})
+	var err error
+	if c.pool, err = installPool(c.k, c.pool[:0]); err != nil {
+		return fmt.Errorf("campaign: %w", err)
 	}
-	// Populate the prog array with a trivial target so generated
-	// tail calls have somewhere to land.
+	return nil
+}
+
+// installPool creates the standard resource pool in k, in poolSpecs
+// order so map fds are the same in every kernel, and installs a trivial
+// tail-call target in every prog array so generated tail calls have
+// somewhere to land. The handles are appended to pool; callers pass
+// pool[:0] to reuse its backing array.
+func installPool(k *kernel.Kernel, pool []MapHandle) ([]MapHandle, error) {
+	for _, spec := range poolSpecs {
+		fd, err := k.CreateMap(spec)
+		if err != nil {
+			return pool, fmt.Errorf("pool map %s: %w", spec.Name, err)
+		}
+		pool = append(pool, MapHandle{FD: fd, Spec: spec})
+	}
 	target := &isa.Program{
 		Type: isa.ProgTypeSocketFilter, GPLCompatible: true, Name: "tail_target",
 		Insns: []isa.Instruction{isa.Mov64Imm(isa.R0, 1), isa.Exit()},
 	}
-	if lp, err := c.k.LoadProgram(target); err == nil {
-		for _, h := range c.pool {
+	if lp, err := k.LoadProgram(target); err == nil {
+		for _, h := range pool {
 			if h.Spec.Type == maps.ProgArray {
-				_ = c.k.SetProgArraySlot(h.FD, 0, lp.FD)
+				_ = k.SetProgArraySlot(h.FD, 0, lp.FD)
 			}
 		}
 	}
-	return nil
+	return pool, nil
 }
 
 // Stats returns the campaign's (live) statistics.
@@ -292,8 +302,6 @@ func (c *Campaign) Run(iters int) (*Stats, error) {
 		end, _ := c.cacheCounters()
 		c.stats.CacheHits += end.Hits - cacheStart.Hits
 		c.stats.CacheMisses += end.Misses - cacheStart.Misses
-		c.stats.CachePrefixHits += end.PrefixHits - cacheStart.PrefixHits
-		c.stats.CachePrefixMisses += end.PrefixMisses - cacheStart.PrefixMisses
 		c.stats.CacheInsertedBytes += end.InsertedBytes - cacheStart.InsertedBytes
 	}
 	return c.stats, nil

@@ -155,20 +155,11 @@ func (c *Corpus) Import(entries []CorpusEntry) {
 func rejectInfo(err error) (errno int, word string) {
 	var ve *verifier.Error
 	if errors.As(err, &ve) {
-		return ve.Errno, firstWord(ve.Message())
+		return ve.Errno, ve.Reason()
 	}
 	var sb *kernel.SyscallBugError
 	if errors.As(err, &sb) {
 		return verifier.EINVAL, "kmemdup"
 	}
 	return verifier.EINVAL, "other"
-}
-
-func firstWord(s string) string {
-	for i := 0; i < len(s); i++ {
-		if s[i] == ' ' {
-			return s[:i]
-		}
-	}
-	return s
 }

@@ -105,8 +105,8 @@ func TestSeededCampaignDeterminism(t *testing.T) {
 
 	// Same seed with the verdict cache armed: the cache is required to be
 	// a bit-identical rewrite of the verification pipeline — memoized
-	// verdicts, replayed coverage, and prefix-snapshot resumes must leave
-	// every compared dimension untouched. The cache must also actually be
+	// verdicts and replayed coverage must leave every compared dimension
+	// untouched. The cache must also actually be
 	// exercised, or this proves nothing.
 	cached := NewCampaign(CampaignConfig{
 		Source: BVFSource(true), Version: kernel.BPFNext, Sanitize: true,
@@ -125,8 +125,7 @@ func TestSeededCampaignDeterminism(t *testing.T) {
 	if st3.CacheHits+st3.CacheMisses == 0 || st3.CacheMisses == 0 {
 		t.Errorf("implausible cache counters: hits=%d misses=%d", st3.CacheHits, st3.CacheMisses)
 	}
-	t.Logf("cache-on golden campaign: %d hits / %d misses, %d prefix hits / %d prefix misses",
-		st3.CacheHits, st3.CacheMisses, st3.CachePrefixHits, st3.CachePrefixMisses)
+	t.Logf("cache-on golden campaign: %d hits / %d misses", st3.CacheHits, st3.CacheMisses)
 
 	// Batch-off legs (MutateBatch 1, classic one-mutant-per-pick
 	// scheduling). Batching is a deliberate scheduling change, so this

@@ -7,7 +7,6 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/isa"
 	"repro/internal/kernel"
-	"repro/internal/maps"
 )
 
 // Reproducer minimization: the paper only reports bugs with *stable
@@ -110,26 +109,22 @@ func MinimizeOpts(rep *Reproducer, prog *isa.Program, o MinimizeOptions) *isa.Pr
 // reproduce under the oracle's hooked replay.
 func NewReplayKernel(version kernel.Version, override bugs.Set, sanitize, oracle bool) (*kernel.Kernel, []MapHandle, error) {
 	k := kernel.New(kernel.Config{Version: version, Bugs: override, Sanitize: sanitize, Oracle: oracle})
-	pool := make([]MapHandle, 0, len(poolSpecs))
-	for _, spec := range poolSpecs {
-		fd, err := k.CreateMap(spec)
-		if err != nil {
-			return nil, nil, err
-		}
-		pool = append(pool, MapHandle{FD: fd, Spec: spec})
+	pool, err := installPool(k, make([]MapHandle, 0, len(poolSpecs)))
+	if err != nil {
+		return nil, nil, err
 	}
-	installTailTarget(k)
 	return k, pool, nil
 }
 
 // NewReproducer builds a Reproducer for one seeded bug against the given
 // kernel version with the standard resource pool. One kernel is built up
-// front and Reset between Check calls — Kernel.Reset replays the exact
-// construction sequence (fresh memory domain, maps, fds, tail-call
-// target), so every probe still sees a pristine environment without
-// paying a full kernel build per minimization candidate.
+// front and, between Check calls, Reset and given its pool again by
+// installPool — the same construction sequence (fresh memory domain,
+// maps, fds, tail-call target) — so every probe still sees a pristine
+// environment without paying a full kernel build per minimization
+// candidate.
 func NewReproducer(version kernel.Version, override bugs.Set, sanitize, oracle bool, bug bugs.ID) *Reproducer {
-	k, _, kerr := NewReplayKernel(version, override, sanitize, oracle)
+	k, pool, kerr := NewReplayKernel(version, override, sanitize, oracle)
 	first := true
 	return &Reproducer{
 		Bug: bug,
@@ -138,7 +133,9 @@ func NewReproducer(version kernel.Version, override bugs.Set, sanitize, oracle b
 				return false
 			}
 			if !first {
-				if err := resetReplayKernel(k); err != nil {
+				k.Reset()
+				var err error
+				if pool, err = installPool(k, pool[:0]); err != nil {
 					return false
 				}
 			}
@@ -160,37 +157,5 @@ func NewReproducer(version kernel.Version, override bugs.Set, sanitize, oracle b
 			}
 			return false
 		},
-	}
-}
-
-// resetReplayKernel returns a replay kernel to the state NewReplayKernel
-// left it in: pristine machine, the standard resource pool in the same fd
-// order, and the tail-call target installed.
-func resetReplayKernel(k *kernel.Kernel) error {
-	k.Reset()
-	for _, spec := range poolSpecs {
-		if _, err := k.CreateMap(spec); err != nil {
-			return err
-		}
-	}
-	installTailTarget(k)
-	return nil
-}
-
-// installTailTarget mirrors the campaign's prog-array setup so tail-call
-// reproducers stay reproducible.
-func installTailTarget(k *kernel.Kernel) {
-	target := &isa.Program{
-		Type: isa.ProgTypeSocketFilter, GPLCompatible: true, Name: "tail_target",
-		Insns: []isa.Instruction{isa.Mov64Imm(isa.R0, 1), isa.Exit()},
-	}
-	lp, err := k.LoadProgram(target)
-	if err != nil {
-		return
-	}
-	for fd := int32(3); fd < 16; fd++ {
-		if m := k.MapByFD(fd); m != nil && m.Type == maps.ProgArray {
-			_ = k.SetProgArraySlot(fd, 0, lp.FD)
-		}
 	}
 }

@@ -337,7 +337,10 @@ func (p *ParallelCampaign) allDead() bool {
 
 // sync is the coordinator round, run single-threaded at the barrier: it
 // merges every shard's coverage into the global map and rebroadcasts the
-// globally-novel corpus entries to the other shards.
+// globally-novel corpus entries to the other shards. It also empties each
+// shard's coverage curve: mergeStats replaces shard curves with the
+// barrier curve, so points kept past the barrier would only grow memory
+// and every checkpoint with each round.
 func (p *ParallelCampaign) sync() {
 	type donation struct {
 		from    int
@@ -345,6 +348,7 @@ func (p *ParallelCampaign) sync() {
 	}
 	var donations []donation
 	for i, sh := range p.shards {
+		sh.stats.Curve = sh.stats.Curve[:0]
 		novel := sh.DrainNovel()
 		// The fresh-site count from merging this shard's coverage into
 		// the global map is the cross-shard feedback signal: a shard

@@ -189,6 +189,41 @@ func TestRepeatedRunContinuesIterationAxis(t *testing.T) {
 	}
 }
 
+// TestShardCurvesDroppedAtBarrier: mergeStats replaces shard curves with
+// the barrier curve, so a shard must not keep its own points past a
+// barrier — they would grow with every round, in memory and in every
+// checkpoint. The merged curve still holds one point per round.
+func TestShardCurvesDroppedAtBarrier(t *testing.T) {
+	const rounds, syncEvery = 8, 256
+	cfg := parallelConfig(2, 5)
+	cfg.SyncEvery = syncEvery
+	cfg.NoMinimize = true
+	p := NewParallelCampaign(cfg)
+	st, err := p.Run(rounds * 2 * syncEvery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sh := range p.shards {
+		if n := len(sh.Stats().Curve); n != 0 {
+			t.Errorf("shard %d kept %d curve points past the last barrier", i, n)
+		}
+	}
+	if len(st.Curve) != rounds {
+		t.Fatalf("merged curve has %d points, want one per round (%d): %+v", len(st.Curve), rounds, st.Curve)
+	}
+	for k, pt := range st.Curve {
+		if want := (k + 1) * 2 * syncEvery; pt.Iteration != want {
+			t.Errorf("curve point %d at iteration %d, want %d", k, pt.Iteration, want)
+		}
+		if k > 0 && pt.Branches < st.Curve[k-1].Branches {
+			t.Errorf("curve point %d: coverage fell from %d to %d", k, st.Curve[k-1].Branches, pt.Branches)
+		}
+	}
+	if last := st.Curve[rounds-1].Branches; last != st.Coverage.Count() {
+		t.Errorf("last curve point has %d sites, merged coverage %d", last, st.Coverage.Count())
+	}
+}
+
 // ---------------------------------------------------------------------
 // Stats.Merge unit tests
 

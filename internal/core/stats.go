@@ -114,14 +114,11 @@ type Stats struct {
 	ShardRestarts int
 
 	// Verdict-cache effectiveness (CampaignConfig.Cache only; all zero
-	// otherwise). Hits/Misses
-	// count whole-program verdict lookups, the Prefix pair counts
-	// linear-prefix snapshot lookups, and CacheInsertedBytes estimates the
-	// memory volume of the entries this campaign inserted.
+	// otherwise). Hits/Misses count whole-program verdict lookups, and
+	// CacheInsertedBytes estimates the memory volume of the entries this
+	// campaign inserted.
 	CacheHits          int64
 	CacheMisses        int64
-	CachePrefixHits    int64
-	CachePrefixMisses  int64
 	CacheInsertedBytes int64
 }
 
@@ -281,8 +278,6 @@ func (s *Stats) Merge(other *Stats) {
 	s.ShardRestarts += other.ShardRestarts
 	s.CacheHits += other.CacheHits
 	s.CacheMisses += other.CacheMisses
-	s.CachePrefixHits += other.CachePrefixHits
-	s.CachePrefixMisses += other.CachePrefixMisses
 	s.CacheInsertedBytes += other.CacheInsertedBytes
 	s.Curve = mergeCurves(s.Curve, other.Curve)
 }

@@ -62,19 +62,6 @@ func (l *Local) Export() []SiteCount {
 	return out
 }
 
-// AddSites replays a recorded profile into the local recorder, as if
-// every hit had been recorded individually. Prefix-snapshot restores use
-// it to rebuild the coverage a resumed verification's skipped prefix
-// would have produced.
-func (l *Local) AddSites(sites []SiteCount) {
-	if l == nil {
-		return
-	}
-	for _, sc := range sites {
-		l.sites[sc.Site] += sc.Count
-	}
-}
-
 // FlushTo folds every recorded hit into m under one lock acquisition and
 // clears the recorder for reuse. It returns the number of sites that were
 // new to m (the fuzzing "new coverage" feedback signal), exactly as if

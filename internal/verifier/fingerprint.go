@@ -53,26 +53,11 @@ func CanonicalProgramBytes(p *isa.Program) []byte {
 	}
 	out = appendString(out, p.Name)
 	out = appendString(out, p.AttachTo)
-	return appendInsnBytes(out, p.Insns)
-}
-
-// canonicalTraceBytes serializes the verification-relevant identity of a
-// program's linear prefix of n instructions (cache.go tracePrefix): the
-// program attributes that shape the entry state and helper availability
-// (type, license, attach target — the name never influences
-// verification), then the first n instructions. A linear prefix always
-// runs pcs 0..n-1 in order and ends at pc n, so its length pins every
-// position the run depends on.
-func canonicalTraceBytes(p *isa.Program, n int) []byte {
-	out := make([]byte, 0, 16+len(p.AttachTo)+18*n)
-	out = append(out, byte(p.Type))
-	if p.GPLCompatible {
-		out = append(out, 1)
-	} else {
-		out = append(out, 0)
+	out = appendU32(out, uint32(len(p.Insns)))
+	for i := range p.Insns {
+		out = appendOneInsn(out, &p.Insns[i])
 	}
-	out = appendString(out, p.AttachTo)
-	return appendInsnBytes(out, p.Insns[:n])
+	return out
 }
 
 func appendString(out []byte, s string) []byte {
@@ -87,14 +72,6 @@ func appendU32(out []byte, v uint32) []byte {
 func appendU64(out []byte, v uint64) []byte {
 	out = appendU32(out, uint32(v))
 	return appendU32(out, uint32(v>>32))
-}
-
-func appendInsnBytes(out []byte, insns []isa.Instruction) []byte {
-	out = appendU32(out, uint32(len(insns)))
-	for i := range insns {
-		out = appendOneInsn(out, &insns[i])
-	}
-	return out
 }
 
 // insnMetaByte packs the Meta provenance flags into one canonical byte.
@@ -122,71 +99,6 @@ func appendOneInsn(out []byte, ins *isa.Instruction) []byte {
 	return append(out, insnMetaByte(ins))
 }
 
-// fpInsn folds one instruction's canonical bytes into a running FNV-1a
-// hash, mirroring appendOneInsn byte for byte.
-func fpInsn(h uint64, ins *isa.Instruction) uint64 {
-	h = fpByte(h, ins.Opcode)
-	h = fpByte(h, ins.Dst)
-	h = fpByte(h, ins.Src)
-	h = fpByte(h, byte(ins.Off))
-	h = fpByte(h, byte(uint16(ins.Off)>>8))
-	h = fpU32(h, uint32(ins.Imm))
-	h = fpU32(h, uint32(ins.Imm64))
-	h = fpU32(h, uint32(ins.Imm64>>32))
-	return fpByte(h, insnMetaByte(ins))
-}
-
-// traceFingerprint computes fpBytes(canonicalTraceBytes(p, n)) without
-// materializing the canonical bytes — the first sighting of a prefix
-// hashes it allocation-free, and only recurring prefixes (which the cache
-// will actually store or look up) build the byte form. The two functions
-// must fold the identical byte sequence; TestTraceFingerprintStreaming
-// pins that.
-func traceFingerprint(p *isa.Program, n int) uint64 {
-	h := uint64(fpOffset64)
-	h = fpByte(h, byte(p.Type))
-	if p.GPLCompatible {
-		h = fpByte(h, 1)
-	} else {
-		h = fpByte(h, 0)
-	}
-	h = fpU32(h, uint32(len(p.AttachTo)))
-	for i := 0; i < len(p.AttachTo); i++ {
-		h = fpByte(h, p.AttachTo[i])
-	}
-	h = fpU32(h, uint32(n))
-	for i := 0; i < n; i++ {
-		h = fpInsn(h, &p.Insns[i])
-	}
-	return h
-}
-
-// fpByte folds one byte into an FNV-1a running hash.
-func fpByte(h uint64, b byte) uint64 {
-	h ^= uint64(b)
-	h *= fpPrime64
-	return h
-}
-
-// fpU32 folds a little-endian u32 into an FNV-1a running hash, matching
-// appendU32's byte order.
-func fpU32(h uint64, v uint32) uint64 {
-	h = fpByte(h, byte(v))
-	h = fpByte(h, byte(v>>8))
-	h = fpByte(h, byte(v>>16))
-	return fpByte(h, byte(v>>24))
-}
-
-// fpBytes is FNV-1a over an arbitrary byte string.
-func fpBytes(b []byte) uint64 {
-	h := uint64(fpOffset64)
-	for i := 0; i < len(b); i++ {
-		h ^= uint64(b[i])
-		h *= fpPrime64
-	}
-	return h
-}
-
 // fpStr folds a length-prefixed string word-wise into an xor-multiply
 // running hash (the length prefix keeps "ab"+"c" and "a"+"bc" apart).
 func fpStr(h uint64, s string) uint64 {
@@ -208,7 +120,7 @@ func fpStr(h uint64, s string) uint64 {
 // (three xor-multiply steps per instruction instead of eighteen byte
 // folds) and without materializing the canonical bytes — the fingerprint
 // is computed on every Verify call, hit or miss, so it must be cheap and
-// allocation-free. It is an independent hash, not fpBytes over the
+// allocation-free. It is an independent hash, not FNV-1a over the
 // canonical form; the only consistency requirement is that Lookup and
 // Insert key with the same function, and a collision degrades to a miss
 // because entries are compared against the program exactly

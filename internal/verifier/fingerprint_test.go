@@ -155,69 +155,6 @@ func TestCanonicalProgramBytesStringBoundaries(t *testing.T) {
 	}
 }
 
-// TestTraceFingerprintStreaming pins that the allocation-free streaming
-// prefix hash folds exactly the bytes canonicalTraceBytes materializes —
-// the two must never drift, or the recurrence filter and the snapshot
-// store would disagree about prefix identity. Every prefix length of
-// each program is checked, including 0 and the whole program.
-func TestTraceFingerprintStreaming(t *testing.T) {
-	for _, seed := range []uint64{1, 7, 42, 99, 12345} {
-		p := fpTestProgram(seed, 1+int(seed%14))
-		for n := 0; n <= len(p.Insns); n++ {
-			want := fpBytes(canonicalTraceBytes(p, n))
-			if got := traceFingerprint(p, n); got != want {
-				t.Fatalf("seed %d length %d: streaming fp %#x != canonical fp %#x", seed, n, got, want)
-			}
-		}
-	}
-}
-
-// TestCanonicalTraceBytesPCSensitivity pins what the prefix canon depends
-// on. A prefix runs pcs 0..n-1 and ends at pc n, so the canon must move
-// with the boundary pc n and with the order of the executed instructions,
-// and with the attributes that shape the run (type, license, attach
-// target). It must not move with the program name or with instructions
-// at or after the boundary, which the prefix run never reads — that is
-// what lets sibling mutants that differ only past the boundary share one
-// snapshot.
-func TestCanonicalTraceBytesPCSensitivity(t *testing.T) {
-	p := fpTestProgram(3, 8)
-	base := canonicalTraceBytes(p, 5)
-	moved := map[string][]byte{
-		"boundary pc": canonicalTraceBytes(p, 4),
-	}
-	swapped := cloneProgram(p)
-	swapped.Insns[1], swapped.Insns[2] = swapped.Insns[2], swapped.Insns[1]
-	moved["insn order"] = canonicalTraceBytes(swapped, 5)
-	for name, mutate := range map[string]func(*isa.Program){
-		"type":   func(q *isa.Program) { q.Type++ },
-		"gpl":    func(q *isa.Program) { q.GPLCompatible = !q.GPLCompatible },
-		"attach": func(q *isa.Program) { q.AttachTo = "sys_exit" },
-		"insn":   func(q *isa.Program) { q.Insns[4].Imm ^= 1 },
-	} {
-		q := cloneProgram(p)
-		mutate(q)
-		moved[name] = canonicalTraceBytes(q, 5)
-	}
-	for name, c := range moved {
-		if bytes.Equal(c, base) {
-			t.Errorf("%s: prefix canon unchanged", name)
-		}
-	}
-	for name, mutate := range map[string]func(*isa.Program){
-		"name":           func(q *isa.Program) { q.Name = "other" },
-		"boundary insn":  func(q *isa.Program) { q.Insns[5].Imm ^= 1 },
-		"insn past it":   func(q *isa.Program) { q.Insns[7].Opcode ^= 1 },
-		"drop last insn": func(q *isa.Program) { q.Insns = q.Insns[:7] },
-	} {
-		q := cloneProgram(p)
-		mutate(q)
-		if !bytes.Equal(canonicalTraceBytes(q, 5), base) {
-			t.Errorf("%s: prefix canon changed by a field the prefix run never reads", name)
-		}
-	}
-}
-
 // exploreStates abstractly executes prog the way Verify does — through
 // step, with pruning and rejection — and returns a copy of every state an
 // explored path passes through, one per simulated instruction, up to

@@ -952,6 +952,39 @@ func TestVerifierSelftests(t *testing.T) {
 	}
 }
 
+// TestErrorReasonMatchesMessage pins Error.Reason, the key campaigns
+// count rejections by, to the first word of the rendered message over
+// every selftest rejection, and checks that reading it leaves a lazily
+// built message unrendered.
+func TestErrorReasonMatchesMessage(t *testing.T) {
+	lazy := 0
+	for _, tc := range selftests {
+		cfg, done := selftestKernel(t, tc.armed())
+		_, err := Verify(tc.program(t), cfg)
+		done()
+		ve, ok := err.(*Error)
+		if !ok {
+			continue
+		}
+		if ve.format != "" {
+			lazy++
+		}
+		reason := ve.Reason()
+		if ve.format != "" && ve.Msg != "" {
+			t.Errorf("%s: Reason rendered the message", tc.name)
+		}
+		if want := firstWord(ve.Message()); reason != want {
+			t.Errorf("%s: Reason() = %q, want %q", tc.name, reason, want)
+		}
+	}
+	if lazy == 0 {
+		t.Fatal("no selftest produced a lazily rendered rejection")
+	}
+	if got := (&Error{Msg: "invalid mem access"}).Reason(); got != "invalid" {
+		t.Errorf("Reason of a pre-rendered error = %q, want %q", got, "invalid")
+	}
+}
+
 // TestSelftestsAllRunnable executes every *accepted* selftest program and
 // requires a clean run (on the fixed kernel, accepted programs must never
 // fault — the §6.5 no-false-positives property at selftest granularity).

@@ -42,6 +42,20 @@ type Error struct {
 
 	format string
 	args   []interface{}
+	// reason is the message's first word, computed by env.reject for the
+	// coverage site without rendering the message.
+	reason string
+}
+
+// Reason returns the first space-delimited word of the rejection
+// message, the key campaigns count rejections by. Rejections built by
+// env.reject answer without rendering the message; errors constructed
+// with Msg fall back to the rendered text.
+func (e *Error) Reason() string {
+	if e.reason == "" {
+		return firstWord(e.Message())
+	}
+	return e.reason
 }
 
 // Message renders the rejection message, lazily on first call.
@@ -93,10 +107,10 @@ type Config struct {
 	// register at every simulated instruction, which the pooled zero-alloc
 	// hot path must not pay for.
 	RecordStates bool
-	// Cache, when non-nil, memoizes whole-program verdicts and trace-
-	// prefix boundary snapshots across Verify calls (see cache.go). It is
-	// consulted only when the run is cacheable: LogLevel 0, RecordStates
-	// off (the oracle must never see replayed claims), coverage on.
+	// Cache, when non-nil, memoizes whole-program verdicts across Verify
+	// calls (see cache.go). It is consulted only when the run is
+	// cacheable: LogLevel 0, RecordStates off (the oracle must never see
+	// replayed claims), coverage on.
 	Cache Cache
 	// CacheNanos, when non-nil, accumulates the wall-clock nanoseconds
 	// Verify spends in the cache layer (fingerprinting, lookup, hit
@@ -304,9 +318,10 @@ func (e *env) watchdog() error {
 }
 
 func (e *env) reject(insn int, errno int, format string, args ...interface{}) error {
-	e.cov("reject:" + rejectWord(format, args))
+	word := rejectWord(format, args)
+	e.cov("reject:" + word)
 	return &Error{Insn: insn, Errno: errno, Log: e.log.String(),
-		format: format, args: args}
+		format: format, args: args, reason: word}
 }
 
 func firstWord(s string) string {
@@ -437,7 +452,7 @@ const maxStatesPerInsn = 16
 
 // verify is the scratch verification path. capture, when non-nil, marks a
 // cache-miss run: the final coverage profile is exported into it for the
-// verdict-cache entry, and the trace-prefix snapshot path is active.
+// verdict-cache entry.
 func verify(prog *isa.Program, cfg *Config, capture *[]coverage.SiteCount) (*Result, error) {
 	if cfg.MaxInsnProcessed == 0 {
 		cfg.MaxInsnProcessed = 100000
@@ -472,21 +487,11 @@ func verify(prog *isa.Program, cfg *Config, capture *[]coverage.SiteCount) (*Res
 		e.states = NewStateTable(prog)
 	}
 
-	st := e.newInitialStatePooled()
-	if capture != nil {
-		// Incremental path (cache-miss runs only): resume from the shared
-		// trace-prefix snapshot, or simulate the trace once and publish
-		// it. A trace rejection is the whole program's rejection.
-		var err error
-		if st, err = e.prefixPrepass(st); err != nil {
-			return nil, err
-		}
-	}
 	// The worklist lives on the env so rejection returns recycle every
 	// still-queued state (teardown drains it); over half of fuzzed
 	// programs are rejected, and abandoning their worklists starved the
 	// state pools.
-	e.worklist = append(e.worklist[:0], st)
+	e.worklist = append(e.worklist[:0], e.newInitialStatePooled())
 	for len(e.worklist) > 0 {
 		if err := e.watchdog(); err != nil {
 			return nil, err
@@ -583,8 +588,6 @@ func (e *env) runPath(st *State) (*State, *State, error) {
 // watchdog cadence, claim recording, logging, and the class dispatch.
 // Every class but JMP/JMP32 advances st to i+1; a jump-class instruction
 // returns checkJmp's outcome (path ended, or a taken-branch sibling).
-// runPath and runTrace both go through it, so a worklist run and a
-// prefix-snapshot run account identically.
 func (e *env) step(st *State, i int) (bool, *State, error) {
 	e.insnProcessed++
 	if e.insnProcessed > e.cfg.MaxInsnProcessed {

@@ -223,7 +223,7 @@ func runBenchJSON(path string, budget int, oracle, cached bool, baselinePath str
 	}
 	cfg := core.CampaignConfig{
 		Source: core.BVFSource(true), Version: kernel.BPFNext,
-		Sanitize: true, Seed: 7, NoMinimize: true, Oracle: oracle,
+		Sanitize: true, Seed: 7, Oracle: oracle,
 	}
 	if cached {
 		cfg.Cache = vcache.NewStore(0)

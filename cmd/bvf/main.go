@@ -42,14 +42,16 @@
 // previous campaign from its snapshot instead of restarting. SIGINT
 // stops gracefully — the in-flight round finishes, a final checkpoint is
 // written, and the statistics so far are printed. Supervision (on by
-// default) contains harness panics as findings, restarts crashed shards
-// with a backoff and circuit breaker, and bounds verification/execution
+// default) contains harness panics as findings, rebuilds a crashed shard
+// at once behind a circuit breaker, and bounds verification/execution
 // wall-clock time with -watchdog.
 //
 // With -triage (on by default) every deduplicated finding passes the
 // validation gauntlet after the campaign: deterministic replay,
 // cross-version × sanitizer classification, flake quarantine, and
 // budget-bounded minimization, with a per-verdict summary at the end.
+// The gauntlet is the only minimizer: with -triage=false findings are
+// reported unminimized.
 // -findings-dir persists gauntlet state per finding (crash-consistent,
 // like -checkpoint); a resumed run — even one whose fuzzing quota is
 // already met — picks up any gauntlet left unfinished by a crash.
@@ -85,7 +87,7 @@ func run() int {
 		workers     = flag.Int("workers", runtime.NumCPU(), "parallel campaign shards")
 		tool        = flag.String("tool", "bvf", "generator: bvf, syzkaller, buzzer, buzzer-random")
 		noSan       = flag.Bool("nosanitize", false, "disable the BVF sanitation patches")
-		verbose     = flag.Bool("v", false, "print reproducer programs for each bug")
+		verbose     = flag.Bool("v", false, "print each bug's raw program, and each finding's minimized reproducer after the gauntlet")
 
 		ckptPath  = flag.String("checkpoint", "", "checkpoint file for crash-safe campaigns")
 		ckptEvery = flag.Int("checkpoint-every", 8, "rounds between checkpoints")
@@ -267,12 +269,8 @@ func run() int {
 		fmt.Printf("  [iter %7d] %-30s indicator%d  %s\n", rec.FoundAt, rec.ID, rec.Indicator, rec.Kind)
 		if *verbose {
 			fmt.Printf("    %s\n", rec.Err)
-			repro := rec.Minimized
-			if repro == nil {
-				repro = rec.Program
-			}
-			if repro != nil {
-				fmt.Println(indent(repro.String(), "    "))
+			if rec.Program != nil {
+				fmt.Println(indent(rec.Program.String(), "    "))
 			}
 		}
 	}
@@ -286,7 +284,7 @@ func run() int {
 		}
 	}
 	if *doTriage && !stopped {
-		if terr := runGauntlet(st, cc.Version, cc.Sanitize, cc.Oracle, *findingsDir); terr != nil {
+		if terr := runGauntlet(st, cc.Version, cc.Sanitize, cc.Oracle, *findingsDir, *verbose); terr != nil {
 			note := ""
 			if *findingsDir != "" {
 				note = fmt.Sprintf(" (finding store %s is crash-safe; rerun with -resume to continue the gauntlet)", *findingsDir)
@@ -405,8 +403,9 @@ func runCampaignOp(op campaignOp) int {
 }
 
 // runGauntlet validates the campaign's findings: replay, cross-config
-// classification, quarantine, minimization — then prints the verdicts.
-func runGauntlet(st *core.Stats, version kernel.Version, sanitize, oracle bool, dir string) error {
+// classification, quarantine, minimization — then prints the verdicts
+// and, when verbose, every minimized reproducer.
+func runGauntlet(st *core.Stats, version kernel.Version, sanitize, oracle bool, dir string, verbose bool) error {
 	store, err := triage.Open(dir)
 	if err != nil {
 		return err
@@ -431,6 +430,14 @@ func runGauntlet(st *core.Stats, version kernel.Version, sanitize, oracle bool, 
 	fmt.Printf("\nvalidating %d finding(s) (%d new) through the gauntlet...\n\n", store.Len(), added)
 	sum, gerr := g.Run()
 	sum.Print(os.Stdout)
+	if verbose {
+		for _, f := range sum.Findings {
+			if f.Minimized != nil {
+				fmt.Printf("\n%s minimized reproducer:\n", f.Key())
+				fmt.Println(indent(f.Minimized.String(), "    "))
+			}
+		}
+	}
 	return gerr
 }
 

@@ -88,7 +88,7 @@ func TestE2EWorkerKilledMidLease(t *testing.T) {
 	ref := core.NewParallelCampaign(core.ParallelConfig{
 		CampaignConfig: core.CampaignConfig{
 			Source: core.BVFSource(ver.HasKfuncs()), Version: ver,
-			Sanitize: true, Seed: e2eSeed, NoMinimize: true,
+			Sanitize: true, Seed: e2eSeed,
 			Supervision: core.SupervisorConfig{Enabled: true},
 		},
 		Workers:   e2eUnits,
@@ -248,7 +248,7 @@ func refCampaign(t *testing.T, seed int64, iters, units int) *core.Stats {
 	ref := core.NewParallelCampaign(core.ParallelConfig{
 		CampaignConfig: core.CampaignConfig{
 			Source: core.BVFSource(ver.HasKfuncs()), Version: ver,
-			Sanitize: true, Seed: seed, NoMinimize: true,
+			Sanitize: true, Seed: seed,
 			Supervision: core.SupervisorConfig{Enabled: true},
 		},
 		Workers:   units,

@@ -77,7 +77,8 @@ type CampaignConfig struct {
 	// EXPERIMENTS.md); 1 (or negative) restores classic
 	// one-mutant-per-pick scheduling.
 	MutateBatch int
-	// NoMinimize skips reproducer minimization on discovered bugs.
+	// Deprecated: NoMinimize is ignored. The triage gauntlet is the only
+	// minimizer.
 	NoMinimize bool
 	// Oracle enables the differential abstract-state soundness checker on
 	// every kernel the campaign builds (kernel.Config.Oracle): clean runs
@@ -456,10 +457,9 @@ func (c *Campaign) iteration(i int) {
 		c.addNovel(prog, newCov)
 	}
 
-	// Triage (recordAnomaly) self-times into the "triage" stage, so the
-	// exec stage is the wall clock over the run loop minus whatever triage
-	// accrued inside it — minimization of a fresh finding must not be
-	// booked as execution time.
+	// recordAnomaly self-times into the "triage" stage, so the exec stage
+	// is the wall clock over the run loop minus whatever triage accrued
+	// inside it.
 	tExec := time.Now()
 	triBefore := c.stats.StageNanos["triage"]
 	oChecks, oViols, oNanos := c.k.OracleChecks, c.k.OracleViolations, c.k.OracleNanos
@@ -558,17 +558,10 @@ func (c *Campaign) recordAnomaly(i int, a *kernel.Anomaly, prog *isa.Program) {
 	if _, seen := c.stats.Bugs[key]; seen {
 		return
 	}
-	rec := &BugRecord{
+	c.stats.Bugs[key] = &BugRecord{
 		ID: id, Kind: a.Kind, Indicator: a.Indicator,
 		FoundAt: i, Err: a.Err.Error(), Program: prog,
 	}
-	if prog != nil && !c.cfg.NoMinimize {
-		rep := NewReproducer(c.cfg.Version, c.cfg.OverrideBugs, c.cfg.Sanitize, c.cfg.Oracle, id)
-		if rep.Check(prog) {
-			rec.Minimized = Minimize(rep, prog, 4)
-		}
-	}
-	c.stats.Bugs[key] = rec
 }
 
 func (c *Campaign) countInsnMix(p *isa.Program) {

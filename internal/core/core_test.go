@@ -436,58 +436,10 @@ func BenchmarkGenerate(b *testing.B) {
 }
 
 func BenchmarkCampaignIteration(b *testing.B) {
-	// NoMinimize keeps the numbers comparable: minimization runs once per
-	// discovered bug regardless of b.N, which would dominate short runs.
-	c := NewCampaign(CampaignConfig{Source: BVFSource(true), Version: kernel.BPFNext, Sanitize: true, Seed: 2, NoMinimize: true})
+	c := NewCampaign(CampaignConfig{Source: BVFSource(true), Version: kernel.BPFNext, Sanitize: true, Seed: 2})
 	b.ReportAllocs()
 	b.ResetTimer()
 	if _, err := c.Run(b.N); err != nil {
 		b.Fatal(err)
-	}
-}
-
-// TestMinimizedReproducers checks that every bug a campaign finds via a
-// program carries a minimized reproducer that (a) still triggers the same
-// bug on a pristine kernel and (b) is no larger than the original.
-func TestMinimizedReproducers(t *testing.T) {
-	if raceEnabled {
-		t.Skip("long deterministic campaign; concurrency is covered by the parallel-campaign tests under -race")
-	}
-	c := NewCampaign(CampaignConfig{Source: BVFSource(true), Version: kernel.BPFNext, Sanitize: true, Seed: 1})
-	st, err := c.Run(30000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(st.Bugs) < 8 {
-		t.Fatalf("campaign found only %d bugs", len(st.Bugs))
-	}
-	checked := 0
-	for key, rec := range st.Bugs {
-		if rec.Minimized == nil {
-			continue
-		}
-		checked++
-		if len(rec.Minimized.Insns) > len(rec.Program.Insns) {
-			t.Errorf("%v: minimized %d insns > original %d", key,
-				len(rec.Minimized.Insns), len(rec.Program.Insns))
-		}
-		rep := NewReproducer(kernel.BPFNext, nil, true, false, key.ID)
-		if !rep.Check(rec.Minimized) {
-			t.Errorf("%v: minimized reproducer no longer triggers:\n%s", key, rec.Minimized)
-		}
-	}
-	if checked < 5 {
-		t.Errorf("only %d bugs carried minimized reproducers", checked)
-	}
-	var orig, min int
-	for _, rec := range st.Bugs {
-		if rec.Minimized != nil {
-			orig += len(rec.Program.Insns)
-			min += len(rec.Minimized.Insns)
-		}
-	}
-	t.Logf("minimization: %d -> %d insns across %d reproducers", orig, min, checked)
-	if min >= orig {
-		t.Errorf("minimization removed nothing overall: %d -> %d", orig, min)
 	}
 }

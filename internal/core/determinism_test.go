@@ -46,7 +46,7 @@ func fingerprintStats(st *Stats) goldenFingerprint {
 func goldenCampaign() *Campaign {
 	return NewCampaign(CampaignConfig{
 		Source: BVFSource(true), Version: kernel.BPFNext, Sanitize: true,
-		Seed: 7, NoMinimize: true,
+		Seed: 7,
 	})
 }
 
@@ -110,7 +110,7 @@ func TestSeededCampaignDeterminism(t *testing.T) {
 	// exercised, or this proves nothing.
 	cached := NewCampaign(CampaignConfig{
 		Source: BVFSource(true), Version: kernel.BPFNext, Sanitize: true,
-		Seed: 7, NoMinimize: true, Cache: vcache.NewStore(0),
+		Seed: 7, Cache: vcache.NewStore(0),
 	})
 	st3, err := cached.Run(3000)
 	if err != nil {
@@ -136,7 +136,7 @@ func TestSeededCampaignDeterminism(t *testing.T) {
 	classic := func(cache *vcache.Store) *Campaign {
 		cfg := CampaignConfig{
 			Source: BVFSource(true), Version: kernel.BPFNext, Sanitize: true,
-			Seed: 7, NoMinimize: true, MutateBatch: 1,
+			Seed: 7, MutateBatch: 1,
 		}
 		if cache != nil {
 			cfg.Cache = cache

@@ -27,9 +27,8 @@ type Reproducer struct {
 // defaultMinimizeBudget is the total wall-clock deadline Minimize applies
 // when the caller does not choose one. Each candidate removal re-verifies
 // and re-executes the program, so an unbounded fixpoint over a
-// pathological reproducer (deep worklists, slow helpers) could stall a
-// campaign's post-merge minimization phase indefinitely; the budget turns
-// that into a best-effort shrink.
+// pathological reproducer (deep worklists, slow helpers) could stall
+// triage indefinitely; the budget turns that into a best-effort shrink.
 const defaultMinimizeBudget = 30 * time.Second
 
 // MinimizeOptions bounds one minimization run.

@@ -88,7 +88,7 @@ func TestMinimizeVerdictsWithKernelReuse(t *testing.T) {
 	}
 	c := NewCampaign(CampaignConfig{
 		Source: BVFSource(true), Version: kernel.BPFNext,
-		Sanitize: true, Seed: 7, NoMinimize: true,
+		Sanitize: true, Seed: 7,
 	})
 	st, err := c.Run(3000)
 	if err != nil {

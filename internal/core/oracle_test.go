@@ -21,7 +21,7 @@ func TestOracleCleanOnSeedCampaign(t *testing.T) {
 		c := NewCampaign(CampaignConfig{
 			Source: BVFSource(true), Version: kernel.BPFNext,
 			OverrideBugs: bugs.None(), Sanitize: true, Seed: seed,
-			Oracle: true, NoMinimize: true,
+			Oracle: true,
 		})
 		st, err := c.Run(15000)
 		if err != nil {

@@ -117,12 +117,6 @@ func NewParallelCampaign(cfg ParallelConfig) *ParallelCampaign {
 	for i := 0; i < cfg.Workers; i++ {
 		sc := cfg.CampaignConfig
 		sc.Seed = cfg.Seed + int64(i)
-		// Shards skip reproducer minimization: every shard rediscovers
-		// roughly the same bug set, and minimization dominates the
-		// per-shard fixed cost (~80% measured). mergeStats minimizes
-		// once per deduplicated bug instead — Minimize is deterministic
-		// and RNG-free, so the result is identical.
-		sc.NoMinimize = true
 		p.shards = append(p.shards, NewCampaign(sc))
 	}
 	return p
@@ -264,9 +258,6 @@ func (p *ParallelCampaign) Run(total int) (*Stats, error) {
 			}
 		}
 	}
-	// The last line reports the rounds; minimizing merged bugs is not
-	// fuzzing and must not dilute its rate.
-	stopReport()
 	p.mergeStats()
 	if p.cfg.CheckpointPath != "" && firstErr == nil {
 		if err := p.Checkpoint(p.cfg.CheckpointPath); err != nil {
@@ -292,7 +283,6 @@ func (p *ParallelCampaign) rebuildShard(i int) {
 	old := p.shards[i]
 	sc := p.cfg.CampaignConfig
 	sc.Seed = deriveSeed(p.cfg.Seed, i, p.restarts[i])
-	sc.NoMinimize = true
 	nc := NewCampaign(sc)
 	nc.stats = old.stats
 	nc.stats.ShardRestarts++
@@ -437,21 +427,6 @@ func (p *ParallelCampaign) mergeStats() {
 	}
 	// Merge replayed the (empty) curve; restore the global one.
 	merged.Curve = p.stats.Curve
-	// Deferred minimization: shards ran with NoMinimize (see
-	// NewParallelCampaign), so minimize here, once per deduplicated bug
-	// manifestation. The wall-clock budget keeps one pathological
-	// reproducer from stalling the whole post-merge phase.
-	if !p.cfg.NoMinimize {
-		for key, rec := range merged.Bugs {
-			if rec.Program == nil || rec.Minimized != nil {
-				continue
-			}
-			rep := NewReproducer(p.cfg.Version, p.cfg.OverrideBugs, p.cfg.Sanitize, p.cfg.Oracle, key.ID)
-			if rep.Check(rec.Program) {
-				rec.Minimized = Minimize(rep, rec.Program, 4)
-			}
-		}
-	}
 	p.stats = merged
 }
 

@@ -192,16 +192,25 @@ func TestRepeatedRunContinuesIterationAxis(t *testing.T) {
 // TestShardCurvesDroppedAtBarrier: mergeStats replaces shard curves with
 // the barrier curve, so a shard must not keep its own points past a
 // barrier — they would grow with every round, in memory and in every
-// checkpoint. The merged curve still holds one point per round.
+// checkpoint. The merged curve still holds one point per round. The
+// merged bugs keep their raw programs only: minimizing them is the
+// triage gauntlet's job.
 func TestShardCurvesDroppedAtBarrier(t *testing.T) {
 	const rounds, syncEvery = 8, 256
 	cfg := parallelConfig(2, 5)
 	cfg.SyncEvery = syncEvery
-	cfg.NoMinimize = true
 	p := NewParallelCampaign(cfg)
 	st, err := p.Run(rounds * 2 * syncEvery)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(st.Bugs) == 0 {
+		t.Fatal("campaign found no bugs")
+	}
+	for key, rec := range st.Bugs {
+		if rec.Minimized != nil {
+			t.Errorf("%v: campaign minimized its reproducer", key)
+		}
 	}
 	for i, sh := range p.shards {
 		if n := len(sh.Stats().Curve); n != 0 {
@@ -297,61 +306,6 @@ func TestStatsMergeDistinctManifestations(t *testing.T) {
 	}
 	if n := a.VerifierBugsFound(); n != 1 {
 		t.Errorf("VerifierBugsFound = %d, want 1 (manifestations collapse)", n)
-	}
-}
-
-// TestParallelDeferredMinimization covers the post-merge minimization
-// path: shards run with minimization deferred, and mergeStats shrinks
-// once per deduplicated manifestation — unless NoMinimize asks it not to.
-func TestParallelDeferredMinimization(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long campaign")
-	}
-	if raceEnabled {
-		t.Skip("long deterministic campaign; concurrency is covered by TestParallelCampaignRace")
-	}
-	const budget = 16000
-	p := NewParallelCampaign(parallelConfig(2, 7))
-	st, err := p.Run(budget)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(st.Bugs) == 0 {
-		t.Fatal("campaign found no bugs; cannot exercise deferred minimization")
-	}
-	minimized := 0
-	for key, rec := range st.Bugs {
-		if rec.Minimized == nil {
-			continue
-		}
-		minimized++
-		if len(rec.Minimized.Insns) > len(rec.Program.Insns) {
-			t.Errorf("%v: minimized %d insns > original %d", key,
-				len(rec.Minimized.Insns), len(rec.Program.Insns))
-		}
-		rep := NewReproducer(kernel.BPFNext, nil, true, false, key.ID)
-		if !rep.Check(rec.Minimized) {
-			t.Errorf("%v: deferred-minimized reproducer no longer triggers", key)
-		}
-	}
-	if minimized == 0 {
-		t.Error("post-merge deferred minimization produced no minimized reproducers")
-	}
-
-	cfg := parallelConfig(2, 7)
-	cfg.NoMinimize = true
-	p2 := NewParallelCampaign(cfg)
-	st2, err := p2.Run(budget)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(st2.Bugs) != len(st.Bugs) {
-		t.Errorf("NoMinimize changed the bug set: %d vs %d records", len(st2.Bugs), len(st.Bugs))
-	}
-	for key, rec := range st2.Bugs {
-		if rec.Minimized != nil {
-			t.Errorf("%v: NoMinimize campaign still minimized", key)
-		}
 	}
 }
 

@@ -35,8 +35,8 @@ type BugRecord struct {
 	FoundAt   int // iteration index
 	Err       string
 	Program   *isa.Program
-	// Minimized is the shrunken stable reproducer (nil when the bug was
-	// not triggered by a program, e.g. map-dump syscalls).
+	// Deprecated: Minimized is never set by a campaign. The triage
+	// gauntlet's Finding.Minimized holds the shrunken reproducer.
 	Minimized *isa.Program
 }
 

@@ -68,7 +68,7 @@ func TestHelperBadSizeIsFinding(t *testing.T) {
 	}
 	st, err := NewCampaign(CampaignConfig{
 		Source: BVFSource(true), Version: kernel.BPFNext, Sanitize: true,
-		Seed: 12000339, NoMinimize: true, Cache: vcache.NewStore(0),
+		Seed: 12000339, Cache: vcache.NewStore(0),
 		Supervision: SupervisorConfig{Enabled: true, MaxRestarts: 8, VerifyTimeout: 2 * time.Second, ExecTimeout: 2 * time.Second},
 	}).Run(30000)
 	if err != nil {
@@ -339,8 +339,7 @@ func assertCurveConsistent(t *testing.T, st *Stats) {
 }
 
 // TestReporterStopIdempotent: the reporter's stop function must be safe
-// to call more than once (Run defers it and error paths may also call
-// it), with and without a Progress writer.
+// to call more than once, with and without a Progress writer.
 func TestReporterStopIdempotent(t *testing.T) {
 	p := NewParallelCampaign(parallelConfig(2, 1))
 	stop := p.startReporter() // nil Progress: no-op closure

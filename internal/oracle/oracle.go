@@ -9,8 +9,8 @@
 // bad access or a broken kernel routine; the oracle sees the unsound
 // analysis itself, one instruction after it diverges from reality, even
 // when that run happens to touch only valid memory. Violations surface
-// as kernel.IndicatorSoundness findings and flow through dedup,
-// minimization and the triage gauntlet exactly like indicator #1/#2.
+// as kernel.IndicatorSoundness findings and flow through dedup and the
+// triage gauntlet, minimization included, exactly like indicator #1/#2.
 package oracle
 
 import (

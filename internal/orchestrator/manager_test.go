@@ -32,7 +32,7 @@ func refRun(t *testing.T, spec CampaignSpec) *core.Stats {
 	ref := core.NewParallelCampaign(core.ParallelConfig{
 		CampaignConfig: core.CampaignConfig{
 			Source: core.BVFSource(ver.HasKfuncs()), Version: ver,
-			Sanitize: spec.Sanitize, Seed: spec.Seed, NoMinimize: true,
+			Sanitize: spec.Sanitize, Seed: spec.Seed,
 			Supervision: core.SupervisorConfig{Enabled: true},
 		},
 		Workers:   spec.Units,

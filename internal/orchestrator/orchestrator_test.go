@@ -583,7 +583,7 @@ func TestDistributedMatchesSingleProcess(t *testing.T) {
 	ref := core.NewParallelCampaign(core.ParallelConfig{
 		CampaignConfig: core.CampaignConfig{
 			Source: core.BVFSource(ver.HasKfuncs()), Version: ver,
-			Sanitize: true, Seed: spec.Seed, NoMinimize: true,
+			Sanitize: true, Seed: spec.Seed,
 			Supervision: core.SupervisorConfig{Enabled: true},
 		},
 		Workers:   spec.Units,

@@ -236,7 +236,6 @@ func SpecRunner(spec CampaignSpec, u Unit, progress func(int), abort func() bool
 	// NewParallelCampaign adds the shard index (0) to this seed, mirroring
 	// shard u.ID of the reference campaign, whose seed is spec.Seed + u.ID.
 	cc.Seed = u.Seed
-	cc.NoMinimize = true
 	cc.Supervision = core.SupervisorConfig{Enabled: true}
 	c := core.NewParallelCampaign(core.ParallelConfig{CampaignConfig: cc, Workers: 1, SyncEvery: spec.SyncEvery})
 	chunk := spec.SyncEvery

@@ -18,8 +18,9 @@ func testEnv() Env {
 	return Env{Version: kernel.BPFNext, Sanitize: true}
 }
 
-// campaignStats runs one moderate fixed-seed campaign (minimization
-// deferred to the gauntlet) and caches the result for every test.
+// campaignStats runs one moderate fixed-seed campaign, whose findings
+// carry raw programs for the gauntlet to minimize, and caches the result
+// for every test.
 var (
 	campOnce  sync.Once
 	campStats *core.Stats
@@ -30,7 +31,7 @@ func campaignStats(t *testing.T) *core.Stats {
 	campOnce.Do(func() {
 		c := core.NewCampaign(core.CampaignConfig{
 			Source: core.BVFSource(true), Version: kernel.BPFNext,
-			Sanitize: true, Seed: 7, NoMinimize: true,
+			Sanitize: true, Seed: 7,
 		})
 		if st, err := c.Run(10000); err == nil {
 			campStats = st
@@ -85,6 +86,9 @@ func deterministicFinding(t *testing.T) *Finding {
 // TestGauntletStable is the end-to-end acceptance path: a fixed-seed
 // campaign's findings enter the gauntlet and at least one verifier
 // correctness bug comes out Stable with a full cross-config matrix.
+// Every minimized reproducer is no larger than the raw program and still
+// triggers its bug on a pristine kernel, and minimization shrinks the
+// findings overall.
 func TestGauntletStable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long campaign")
@@ -117,7 +121,7 @@ func TestGauntletStable(t *testing.T) {
 	if sum.Pending != 0 {
 		t.Errorf("%d findings left pending — the gauntlet must reach a verdict on all", sum.Pending)
 	}
-	stableVerifier := 0
+	stableVerifier, minimized, rawInsns, minInsns := 0, 0, 0, 0
 	for _, f := range sum.Findings {
 		if f.Stage != StageDone {
 			t.Errorf("%s left at stage %s", f.Key(), f.Stage)
@@ -131,9 +135,30 @@ func TestGauntletStable(t *testing.T) {
 		if f.Class == ClassVerifierCorrectness {
 			stableVerifier++
 		}
+		if f.Minimized == nil {
+			continue
+		}
+		minimized++
+		rawInsns += len(f.Raw.Program.Insns)
+		minInsns += len(f.Minimized.Insns)
+		if len(f.Minimized.Insns) > len(f.Raw.Program.Insns) {
+			t.Errorf("%s: minimized %d insns > raw %d", f.Key(),
+				len(f.Minimized.Insns), len(f.Raw.Program.Insns))
+		}
+		env := f.Raw.Env
+		if !core.NewReproducer(env.Version, env.Bugs, env.Sanitize, env.Oracle, f.Raw.Key.ID).Check(f.Minimized) {
+			t.Errorf("%s: minimized reproducer no longer triggers:\n%s", f.Key(), f.Minimized)
+		}
 	}
 	if stableVerifier == 0 {
 		t.Error("no stable verifier correctness finding survived the gauntlet")
+	}
+	t.Logf("minimization: %d -> %d insns across %d reproducers", rawInsns, minInsns, minimized)
+	if minimized < 3 {
+		t.Errorf("only %d findings carried minimized reproducers, want at least 3", minimized)
+	}
+	if minInsns >= rawInsns {
+		t.Errorf("minimization removed nothing overall: %d -> %d insns", rawInsns, minInsns)
 	}
 	var buf bytes.Buffer
 	sum.Print(&buf)

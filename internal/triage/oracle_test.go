@@ -45,7 +45,7 @@ func TestOracleCatchesArmedBug(t *testing.T) {
 	c := core.NewCampaign(core.CampaignConfig{
 		Source: witnessSource{}, Version: env.Version,
 		OverrideBugs: env.Bugs, Sanitize: env.Sanitize, Oracle: env.Oracle,
-		Seed: 3, NoMinimize: true,
+		Seed: 3,
 	})
 	st, err := c.Run(50)
 	if err != nil {

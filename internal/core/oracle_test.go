@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/bugs"
@@ -44,5 +45,40 @@ func TestOracleCleanOnSeedCampaign(t *testing.T) {
 		}
 		t.Logf("seed %d: oracle asserted %d claims across %d accepted programs (%.1fms)",
 			seed, st.SoundnessChecks, st.Accepted, float64(st.StageNanos["oracle"])/1e6)
+	}
+}
+
+// TestOracleSeededCampaignGolden pins a fixed-seed campaign with the
+// oracle armed on bpf-next's default bug set: its verdicts, coverage and
+// bugs, and how many claims the oracle checked and how many replays it
+// caught violating one. TestSeededCampaignDeterminism runs with the
+// oracle off, so this is the golden that fails when claim recording or
+// the replay drifts.
+func TestOracleSeededCampaignGolden(t *testing.T) {
+	st, err := NewCampaign(CampaignConfig{
+		Source: BVFSource(true), Version: kernel.BPFNext, Sanitize: true,
+		Seed: 7, Oracle: true,
+	}).Run(8000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type golden struct {
+		Accepted, CovCount int
+		Bugs               []bugs.ID
+		Checks, Violations int
+	}
+	got := golden{st.Accepted, st.Coverage.Count(), st.BugIDs(), st.SoundnessChecks, st.SoundnessViolations}
+	want := golden{
+		Accepted: 2894, CovCount: 243,
+		Bugs: []bugs.ID{
+			bugs.Bug1NullnessProp, bugs.Bug2TaskAccess, bugs.Bug3KfuncBacktrack,
+			bugs.Bug4TracePrintk, bugs.Bug5Contention, bugs.Bug6SendSignal,
+			bugs.Bug7Dispatcher, bugs.Bug8Kmemdup, bugs.Bug9BucketIter,
+			bugs.Bug11XDPDevProg,
+		},
+		Checks: 532744, Violations: 8,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("oracle campaign drifted from golden:\n got %+v\nwant %+v", got, want)
 	}
 }

@@ -14,79 +14,18 @@ func InsertAt(p *Program, idx int, insns ...Instruction) (*Program, error) {
 	if idx < 0 || idx > len(p.Insns) {
 		return nil, fmt.Errorf("isa: insert index %d out of range", idx)
 	}
-	out := &Program{
-		Type: p.Type, Name: p.Name,
-		AttachTo: p.AttachTo, GPLCompatible: p.GPLCompatible,
+	out := p.header(len(p.Insns) + len(insns))
+	out.Insns = append(out.Insns, p.Insns[:idx]...)
+	out.Insns = append(out.Insns, insns...)
+	out.Insns = append(out.Insns, p.Insns[idx:]...)
+	width := 0
+	for _, ins := range insns {
+		width += slotWidth(ins)
 	}
-	newIdx := make([]int, len(p.Insns)) // orig -> new decoded index
-	for i, ins := range p.Insns {
-		if i == idx {
-			out.Insns = append(out.Insns, insns...)
-		}
-		newIdx[i] = len(out.Insns)
-		out.Insns = append(out.Insns, ins)
-	}
-	if idx == len(p.Insns) {
-		out.Insns = append(out.Insns, insns...)
-	}
-
-	// Slot tables before and after.
-	oldSlot := make([]int, len(p.Insns)+1)
-	for i, ins := range p.Insns {
-		oldSlot[i+1] = oldSlot[i] + slotWidth(ins)
-	}
-	oldIdxOfSlot := make(map[int]int, len(p.Insns))
-	for i := range p.Insns {
-		oldIdxOfSlot[oldSlot[i]] = i
-	}
-	newSlot := make([]int, len(out.Insns)+1)
-	for i, ins := range out.Insns {
-		newSlot[i+1] = newSlot[i] + slotWidth(ins)
-	}
-	// blockStart: where jumps to orig insn j should now land. For j ==
-	// idx that is the first inserted instruction.
-	blockStart := func(j int) int {
-		n := newIdx[j]
-		if j == idx {
-			n -= len(insns)
-		}
-		return n
-	}
-
-	for i, ins := range p.Insns {
-		isJump := ins.IsCondJump() || ins.IsUncondJump()
-		if !isJump && !ins.IsPseudoCall() {
-			continue
-		}
-		var delta int32
-		if ins.IsPseudoCall() {
-			delta = ins.Imm
-		} else {
-			delta = int32(ins.Off)
-		}
-		tgt, ok := oldIdxOfSlot[oldSlot[i]+slotWidth(ins)+int(delta)]
-		if !ok {
-			return nil, fmt.Errorf("isa: insn %d has unmappable jump target", i)
-		}
-		ni := newIdx[i]
-		newOff := newSlot[blockStart(tgt)] - (newSlot[ni] + slotWidth(out.Insns[ni]))
-		if ins.IsPseudoCall() {
-			out.Insns[ni].Imm = int32(newOff)
-		} else {
-			if newOff > 32767 || newOff < -32768 {
-				return nil, fmt.Errorf("isa: patched jump offset %d overflows", newOff)
-			}
-			out.Insns[ni].Off = int16(newOff)
-		}
+	if err := retarget(p, out, idx, len(insns), width); err != nil {
+		return nil, err
 	}
 	return out, nil
-}
-
-func slotWidth(ins Instruction) int {
-	if ins.IsWide() {
-		return 2
-	}
-	return 1
 }
 
 // RemoveAt returns a copy of p without the instruction at decoded index
@@ -98,67 +37,86 @@ func RemoveAt(p *Program, idx int) (*Program, error) {
 	if idx < 0 || idx >= len(p.Insns) {
 		return nil, fmt.Errorf("isa: remove index %d out of range", idx)
 	}
-	out := &Program{
-		Type: p.Type, Name: p.Name,
-		AttachTo: p.AttachTo, GPLCompatible: p.GPLCompatible,
-	}
-	newIdx := make([]int, len(p.Insns))
-	for i, ins := range p.Insns {
-		if i == idx {
-			newIdx[i] = len(out.Insns) // successor position
-			continue
-		}
-		newIdx[i] = len(out.Insns)
-		out.Insns = append(out.Insns, ins)
-	}
-
-	oldSlot := make([]int, len(p.Insns)+1)
-	for i, ins := range p.Insns {
-		oldSlot[i+1] = oldSlot[i] + slotWidth(ins)
-	}
-	oldIdxOfSlot := make(map[int]int, len(p.Insns))
-	for i := range p.Insns {
-		oldIdxOfSlot[oldSlot[i]] = i
-	}
-	newSlot := make([]int, len(out.Insns)+1)
-	for i, ins := range out.Insns {
-		newSlot[i+1] = newSlot[i] + slotWidth(ins)
-	}
-	slotOfNew := func(j int) int {
-		if j >= len(out.Insns) {
-			return newSlot[len(out.Insns)]
-		}
-		return newSlot[j]
-	}
-
-	for i, ins := range p.Insns {
-		if i == idx {
-			continue
-		}
-		isJump := ins.IsCondJump() || ins.IsUncondJump()
-		if !isJump && !ins.IsPseudoCall() {
-			continue
-		}
-		var delta int32
-		if ins.IsPseudoCall() {
-			delta = ins.Imm
-		} else {
-			delta = int32(ins.Off)
-		}
-		tgt, ok := oldIdxOfSlot[oldSlot[i]+slotWidth(ins)+int(delta)]
-		if !ok {
-			return nil, fmt.Errorf("isa: insn %d has unmappable jump target", i)
-		}
-		ni := newIdx[i]
-		newOff := slotOfNew(newIdx[tgt]) - (newSlot[ni] + slotWidth(out.Insns[ni]))
-		if ins.IsPseudoCall() {
-			out.Insns[ni].Imm = int32(newOff)
-		} else {
-			if newOff > 32767 || newOff < -32768 {
-				return nil, fmt.Errorf("isa: patched jump offset %d overflows", newOff)
-			}
-			out.Insns[ni].Off = int16(newOff)
-		}
+	out := p.header(len(p.Insns) - 1)
+	out.Insns = append(out.Insns, p.Insns[:idx]...)
+	out.Insns = append(out.Insns, p.Insns[idx+1:]...)
+	if err := retarget(p, out, idx, -1, -slotWidth(p.Insns[idx])); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// header returns p's type, name, attach point and license with room for
+// n instructions.
+func (p *Program) header(n int) *Program {
+	return &Program{
+		Type: p.Type, Name: p.Name,
+		AttachTo: p.AttachTo, GPLCompatible: p.GPLCompatible,
+		Insns: make([]Instruction, 0, n),
+	}
+}
+
+// retarget recomputes the jump offsets and pseudo-call deltas in out, the
+// copy of p edited at decoded index idx: every instruction from idx on
+// moved by dIdx indices and shift slots (a removed instruction, dIdx < 0,
+// is not patched). A branch aimed at idx keeps its slot, so it now lands
+// on the inserted block or on the removed instruction's successor.
+func retarget(p, out *Program, idx, dIdx, shift int) error {
+	// start marks the slots where an instruction begins: the only valid
+	// branch targets.
+	start := make([]bool, p.Slots())
+	base := len(start) // slot of idx
+	slot := 0
+	for i, ins := range p.Insns {
+		if i == idx {
+			base = slot
+		}
+		start[slot] = true
+		slot += slotWidth(ins)
+	}
+
+	slot = 0
+	for i, ins := range p.Insns {
+		slot += slotWidth(ins)
+		if i == idx && dIdx < 0 {
+			continue
+		}
+		var delta int
+		switch {
+		case ins.IsPseudoCall():
+			delta = int(ins.Imm)
+		case ins.IsCondJump() || ins.IsUncondJump():
+			delta = int(ins.Off)
+		default:
+			continue
+		}
+		tgt := slot + delta
+		if tgt < 0 || tgt >= len(start) || !start[tgt] {
+			return fmt.Errorf("isa: insn %d has unmappable jump target", i)
+		}
+		newOff, ni := delta, i
+		if tgt > base {
+			newOff += shift
+		}
+		if i >= idx {
+			newOff -= shift
+			ni += dIdx
+		}
+		if ins.IsPseudoCall() {
+			out.Insns[ni].Imm = int32(newOff)
+			continue
+		}
+		if newOff > 32767 || newOff < -32768 {
+			return fmt.Errorf("isa: patched jump offset %d overflows", newOff)
+		}
+		out.Insns[ni].Off = int16(newOff)
+	}
+	return nil
+}
+
+func slotWidth(ins Instruction) int {
+	if ins.IsWide() {
+		return 2
+	}
+	return 1
 }

@@ -101,11 +101,13 @@ type Config struct {
 	// program execution; a timed-out run carries *runtime.WatchdogError.
 	ExecTimeout time.Duration
 	// Oracle enables the differential abstract-state soundness checker:
-	// verification records the per-instruction joined abstract state
-	// (verifier.Config.RecordStates) and every clean Run is replayed once
-	// with internal/oracle's per-instruction hook asserting the concrete
-	// registers against it. Off by default — recording and the extra
-	// execution are not part of the zero-alloc hot path.
+	// LoadProgram records the per-instruction joined abstract state
+	// (verifier.Config.RecordStates) into one claim table the kernel
+	// reuses for every load, and every clean Run of the program holding
+	// it is replayed once with internal/oracle's per-instruction hook
+	// asserting the concrete registers against it. Off by default —
+	// recording and the extra execution are not part of the zero-alloc
+	// hot path.
 	Oracle bool
 	// Cache, when non-nil, memoizes verifier verdicts across LoadProgram
 	// calls (and across kernel recycles — entries rebind map FDs on every
@@ -144,6 +146,14 @@ type Kernel struct {
 	OracleChecks     int
 	OracleViolations int
 	OracleNanos      int64
+
+	// claims is the oracle's claim table (Config.Oracle only). Every
+	// LoadProgram verifies into it, so a campaign's verifications share
+	// one buffer instead of allocating a table each. claimsHolder is the
+	// loaded program whose Res.States it is; the next LoadProgram or
+	// Reset takes it back.
+	claims       *verifier.StateTable
+	claimsHolder *LoadedProg
 
 	// sanMemo memoizes sanitizer.Instrument per original-program identity
 	// (verifier.Result.CacheFP/CacheCanon, set only on the cacheable
@@ -199,6 +209,9 @@ func New(cfg Config) *Kernel {
 		progs:  make(map[int32]*LoadedProg),
 		nextFD: 100,
 	}
+	if cfg.Oracle {
+		k.claims = new(verifier.StateTable)
+	}
 	k.M.ResolveProg = func(fd int32) *isa.Program {
 		if lp := k.progs[fd]; lp != nil {
 			return lp.Exec
@@ -212,9 +225,11 @@ func New(cfg Config) *Kernel {
 // to New(k.Cfg) but reusing the machine's immutable registries and this
 // kernel's identity (its ResolveProg closure stays valid). Replay and
 // minimization harnesses Reset one kernel between candidate probes instead
-// of paying a full construction per probe.
+// of paying a full construction per probe. A program loaded before Reset
+// keeps no oracle claims.
 func (k *Kernel) Reset() {
 	k.M.Reset()
+	k.releaseClaims()
 	k.progs = make(map[int32]*LoadedProg)
 	k.nextFD = 100
 	k.sanMemo = nil
@@ -309,9 +324,16 @@ func (e *SyscallBugError) Error() string {
 }
 
 // LoadProgram verifies p and, when sanitation is enabled, instruments the
-// result. On success the program is registered and ready to run.
+// result. On success the program is registered and ready to run. With
+// Config.Oracle, p's claims go into the kernel's claim table, which the
+// previously loaded program gives up (see Run).
 func (k *Kernel) LoadProgram(p *isa.Program) (*LoadedProg, error) {
-	res, err := verifier.Verify(p, k.VerifierConfig())
+	cfg := k.VerifierConfig()
+	if k.claims != nil {
+		k.releaseClaims()
+		cfg.States = k.claims
+	}
+	res, err := verifier.Verify(p, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -338,7 +360,19 @@ func (k *Kernel) LoadProgram(p *isa.Program) (*LoadedProg, error) {
 	lp.FD = k.nextFD
 	k.nextFD++
 	k.progs[lp.FD] = lp
+	if res.States != nil {
+		k.claimsHolder = lp
+	}
 	return lp, nil
+}
+
+// releaseClaims takes the claim table back from the program holding it,
+// whose Run then does no oracle replay.
+func (k *Kernel) releaseClaims() {
+	if h := k.claimsHolder; h != nil {
+		h.Res.States = nil
+		k.claimsHolder = nil
+	}
 }
 
 // Run executes a loaded program once. Programs with an AttachTo hook are
@@ -347,7 +381,9 @@ func (k *Kernel) LoadProgram(p *isa.Program) (*LoadedProg, error) {
 // clean run is followed by one oracle-hooked replay of the verified
 // (uninstrumented) program — the sanitizer shifts instruction indices,
 // the state table's indices refer to the verified program — and a
-// soundness violation replaces the outcome's Err.
+// soundness violation replaces the outcome's Err. A program keeps its
+// claims only until the next LoadProgram (or Reset) on its kernel; after
+// that Run executes it without the replay.
 func (k *Kernel) Run(lp *LoadedProg) *runtime.ExecOutcome {
 	out := k.runOnce(lp)
 	if !k.Cfg.Oracle || out.Err != nil || lp.Res == nil || lp.Res.States == nil {
@@ -665,6 +701,9 @@ func (k *Kernel) Triage(a *Anomaly, prog *isa.Program) bugs.ID {
 			cfg := k.VerifierConfig()
 			cfg.Bugs = weakened
 			cfg.Cov = nil
+			// Only the verdict matters: recording claims would fill a
+			// table nothing reads.
+			cfg.RecordStates = false
 			// Never consult the verdict cache here: its entries were
 			// produced under the full bug set, and a weakened-knob
 			// re-verification answering from the cache would misattribute

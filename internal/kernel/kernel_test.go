@@ -8,6 +8,7 @@ import (
 	"repro/internal/bugs"
 	"repro/internal/helpers"
 	"repro/internal/isa"
+	"repro/internal/kmem"
 	"repro/internal/maps"
 	"repro/internal/verifier"
 )
@@ -780,5 +781,93 @@ func TestSetProgArraySlotValidation(t *testing.T) {
 	}
 	if err := k.SetProgArraySlot(paFD, 0, lp.FD); err != nil {
 		t.Errorf("valid slot set failed: %v", err)
+	}
+}
+
+// TestOracleClaimTableHandoff: an oracle kernel verifies every program
+// into its one claim table. The last program loaded holds it; the next
+// load takes it back, so the earlier program runs without an oracle
+// replay. Knob-removal triage re-verifies without touching the holder's
+// claims, whichever program it triages.
+func TestOracleClaimTableHandoff(t *testing.T) {
+	k := New(Config{Version: BPFNext, Sanitize: true, Oracle: true})
+	sock := func(insns ...isa.Instruction) *isa.Program {
+		return &isa.Program{Type: isa.ProgTypeSocketFilter, GPLCompatible: true, Insns: insns}
+	}
+	a := sock(
+		isa.Mov64Imm(isa.R6, 1),
+		isa.Mov64Imm(isa.R7, 2),
+		isa.Alu64Reg(isa.ALUAdd, isa.R6, isa.R7),
+		isa.Mov64Reg(isa.R2, isa.R10),
+		isa.Alu64Imm(isa.ALUAdd, isa.R2, -8),
+		isa.Mov64Reg(isa.R0, isa.R6),
+		isa.Exit(),
+	)
+	b := sock(
+		isa.Mov64Imm(isa.R3, 5),
+		isa.Alu64Imm(isa.ALUAdd, isa.R3, 2),
+		isa.Mov64Reg(isa.R0, isa.R3),
+		isa.Exit(),
+	)
+	checks := func(lp *LoadedProg) int {
+		t.Helper()
+		before := k.OracleChecks
+		if out := k.Run(lp); out.Err != nil {
+			t.Fatalf("run: %v", out.Err)
+		}
+		return k.OracleChecks - before
+	}
+
+	table := k.claims
+	lpA := mustLoad(t, k, a)
+	if lpA.Res.States != table {
+		t.Fatal("A's claims are not in the kernel's table")
+	}
+	lpB := mustLoad(t, k, b)
+	if lpB.Res.States != table || table.NumInsns() != len(b.Insns) {
+		t.Fatalf("B's Res.States = %p covering %d insns, want the kernel's table %p covering %d",
+			lpB.Res.States, lpB.Res.States.NumInsns(), table, len(b.Insns))
+	}
+	if lpA.Res.States != nil {
+		t.Error("A kept its claims after B was loaded")
+	}
+	if n := checks(lpA); n != 0 {
+		t.Errorf("Run(A) checked %d claims after B took the table, want 0", n)
+	}
+	nB := checks(lpB)
+	if nB == 0 {
+		t.Fatal("Run(B) checked no claims")
+	}
+
+	lpB2 := mustLoad(t, k, b)
+	if lpB2.Res.States != table || k.claims != table {
+		t.Error("loading B again did not reuse the kernel's table")
+	}
+	if lpB.Res.States != nil {
+		t.Error("the first B kept its claims after B was loaded again")
+	}
+
+	held := make([]verifier.RegClaim, 0, len(b.Insns)*isa.NumReg)
+	for i := 0; i < len(b.Insns); i++ {
+		for r := 0; r < isa.NumReg; r++ {
+			held = append(held, table.Claim(i, r))
+		}
+	}
+	anomaly := &Anomaly{Kind: "kasan:slab-out-of-bounds", Indicator: Indicator1,
+		Err: &kmem.Report{Kind: kmem.ReportOOB, Addr: 0x1000, Size: 8}}
+	k.Triage(anomaly, b)
+	k.Triage(anomaly, a)
+	if lpB2.Res.States != table || table.NumInsns() != len(b.Insns) {
+		t.Fatalf("after Triage the table covers %d insns, want B's %d", table.NumInsns(), len(b.Insns))
+	}
+	for i := 0; i < len(b.Insns); i++ {
+		for r := 0; r < isa.NumReg; r++ {
+			if got, want := table.Claim(i, r), held[i*isa.NumReg+r]; got != want {
+				t.Errorf("after Triage, insn %d R%d claim = %v, want %v", i, r, got, want)
+			}
+		}
+	}
+	if n := checks(lpB2); n != nB {
+		t.Errorf("Run(B) after Triage checked %d claims, want %d", n, nB)
 	}
 }

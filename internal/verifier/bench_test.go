@@ -1,7 +1,10 @@
 package verifier
 
 import (
+	"runtime"
+	"sort"
 	"testing"
+	"unsafe"
 
 	"repro/internal/btf"
 	"repro/internal/bugs"
@@ -142,6 +145,61 @@ func TestVerifyHotPathAllocBudget(t *testing.T) {
 		t.Errorf("hot-path verification allocates %.1f objects/run, budget %d", avg, budget)
 	}
 	t.Logf("hot-path verification: %.1f allocs/run (budget %d)", avg, budget)
+
+	// Oracle leg: recording claims into a warm caller-owned table, as an
+	// oracle kernel does, must not pay for a table per verification.
+	cfg.RecordStates = true
+	cfg.States = new(StateTable)
+	table := uint64(len(prog.Insns)*isa.NumReg) * uint64(unsafe.Sizeof(RegClaim{}))
+	perRun := medianBytesPerRun(101, func() {
+		if _, err := Verify(prog, cfg); err != nil {
+			t.Error(err)
+		}
+	})
+	if perRun >= table/4 {
+		t.Errorf("recording into a warm table allocates %d B/run, want under a quarter of one table (%d B)", perRun, table)
+	}
+	t.Logf("recording into a warm table: %d B/run (one table is %d B)", perRun, table)
+}
+
+// medianBytesPerRun returns the median heap bytes one call of f allocates
+// over runs calls, after a warm-up call. The median rather than the mean:
+// under the race detector sync.Pool drops a quarter of what is put back,
+// so some calls rebuild the verifier's pooled env.
+func medianBytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	perRun := make([]uint64, runs)
+	var before, after runtime.MemStats
+	for i := range perRun {
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		perRun[i] = after.TotalAlloc - before.TotalAlloc
+	}
+	sort.Slice(perRun, func(i, j int) bool { return perRun[i] < perRun[j] })
+	return perRun[runs/2]
+}
+
+// BenchmarkVerifyRecordStates is the oracle's verification: the hot-path
+// program recording its claims into a warm caller-owned table, as a
+// kernel with Config.Oracle does.
+func BenchmarkVerifyRecordStates(b *testing.B) {
+	k := newBenchKernel()
+	cfg := k.config(coverage.NewMap())
+	cfg.RecordStates = true
+	cfg.States = new(StateTable)
+	prog := hotPathProgram()
+	if _, err := Verify(prog, cfg); err != nil {
+		b.Fatalf("hot-path program rejected: %v", err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Verify(prog, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 func BenchmarkVerifyReject(b *testing.B) {

@@ -1,6 +1,8 @@
 package verifier
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -74,12 +76,20 @@ func FuzzVerifyNoPanic(f *testing.F) {
 // FuzzVerifyRecordStatesNoPanic replays the same contract with the
 // oracle's state recording armed: the claim-join path must be as
 // panic-free as the bare verifier, and accepted programs must come back
-// with a state table sized to the original instruction stream.
+// with a state table sized to the original instruction stream. Recording
+// into a table that held another program must also give the verdict and
+// claims a fresh table gets: once after a two-instruction program (the
+// table grows) and once after dirtyProgram (rows to clear, and a
+// pseudo-call and poisoned registers to forget).
 func FuzzVerifyRecordStatesNoPanic(f *testing.F) {
 	f.Add(uint8(1), encodeProgram(hotPathProgram()))
 	f.Add(uint8(1), encodeProgram(rejectProgram()))
+	for _, p := range claimPrograms() {
+		f.Add(uint8(1), encodeProgram(p))
+	}
 
 	k := newBenchKernel()
+	dirty := []*isa.Program{sockProg(isa.Mov64Imm(isa.R0, 0), isa.Exit()), dirtyProgram()}
 	f.Fuzz(func(t *testing.T, progType uint8, data []byte) {
 		insns := decodeInsns(data)
 		if len(insns) == 0 {
@@ -94,15 +104,37 @@ func FuzzVerifyRecordStatesNoPanic(f *testing.F) {
 		cfg.Timeout = 500 * time.Millisecond
 		cfg.RecordStates = true
 		res, err := Verify(prog, cfg)
-		if err != nil {
-			return
+		if err == nil {
+			if res.States == nil {
+				t.Fatal("accepted with RecordStates but no state table")
+			}
+			if res.States.NumInsns() != len(prog.Insns) {
+				t.Fatalf("state table covers %d insns, program has %d",
+					res.States.NumInsns(), len(prog.Insns))
+			}
 		}
-		if res.States == nil {
-			t.Fatal("accepted with RecordStates but no state table")
+
+		fresh := new(StateTable)
+		cfg.States = fresh
+		_, want := Verify(prog, cfg)
+		if fresh.NumInsns() == 0 {
+			return // rejected by the structural checks, before recording
 		}
-		if res.States.NumInsns() != len(prog.Insns) {
-			t.Fatalf("state table covers %d insns, program has %d",
-				res.States.NumInsns(), len(prog.Insns))
+		for _, prev := range dirty {
+			tab := new(StateTable)
+			cfg.States = tab
+			Verify(prev, cfg)
+			_, got := Verify(prog, cfg)
+			var te *TimeoutError
+			if errors.As(got, &te) || errors.As(want, &te) {
+				return // a watchdog trip stops recording at a wall-clock point
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("after %d insns: verdict %v, fresh table %v", len(prev.Insns), got, want)
+			}
+			if d := claimsDiff(tab, fresh); d != "" {
+				t.Fatalf("after %d insns: %s", len(prev.Insns), d)
+			}
 		}
 	})
 }

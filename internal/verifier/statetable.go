@@ -82,7 +82,8 @@ func (c RegClaim) String() string {
 }
 
 // StateTable is the per-program claim table: one RegClaim per
-// (instruction, register), flat in one allocation.
+// (instruction, register), flat in one allocation. The zero value is an
+// empty table that Config.States can record into.
 type StateTable struct {
 	claims  []RegClaim
 	numInsn int
@@ -104,11 +105,25 @@ type StateTable struct {
 
 // NewStateTable sizes a claim table for prog.
 func NewStateTable(prog *isa.Program) *StateTable {
-	t := &StateTable{
-		claims:     make([]RegClaim, len(prog.Insns)*isa.NumReg),
-		numInsn:    len(prog.Insns),
-		allowStack: true,
+	t := new(StateTable)
+	t.reset(prog)
+	return t
+}
+
+// reset empties t for prog: every claim is ClaimNone, and allowStack and
+// poisoned describe prog alone. The buffer is reused, and grows only when
+// prog is longer than every program t held before.
+func (t *StateTable) reset(prog *isa.Program) {
+	n := len(prog.Insns) * isa.NumReg
+	if cap(t.claims) < n {
+		t.claims = make([]RegClaim, n)
+	} else {
+		t.claims = t.claims[:n]
+		clear(t.claims)
 	}
+	t.numInsn = len(prog.Insns)
+	t.allowStack = true
+	t.poisoned = 0
 	for _, ins := range prog.Insns {
 		if ins.IsPseudoCall() {
 			t.allowStack = false
@@ -117,7 +132,6 @@ func NewStateTable(prog *isa.Program) *StateTable {
 			t.poisoned |= 1 << ins.Dst
 		}
 	}
-	return t
 }
 
 // impreciseALU reports whether ins computes a scalar whose verifier

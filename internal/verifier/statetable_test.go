@@ -1,6 +1,7 @@
 package verifier
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/isa"
@@ -78,5 +79,139 @@ func TestStateTablePoisonedRegister(t *testing.T) {
 		if got := tab.Claim(i, int(isa.R4)).Kind; got != ClaimScalar {
 			t.Errorf("insn %d: R4 claim kind = %v, want scalar", i, got)
 		}
+	}
+}
+
+// dirtyProgram is a long accepted program with a bpf-to-bpf call and
+// imprecise ALU ops on R3 and R4: the table it leaves behind has
+// allowStack off, a poisoned mask, and claims in every row.
+func dirtyProgram() *isa.Program {
+	insns := []isa.Instruction{
+		isa.Mov64Imm(isa.R3, 100),
+		isa.Mov64Imm(isa.R4, 7),
+		isa.Alu64Reg(isa.ALUMod, isa.R3, isa.R4),
+		isa.Alu64Reg(isa.ALUDiv, isa.R4, isa.R3),
+		isa.Mov64Reg(isa.R2, isa.R10),
+		isa.Mov64Imm(isa.R6, 0),
+	}
+	for i := 0; i < 32; i++ {
+		insns = append(insns, isa.Alu64Imm(isa.ALUAdd, isa.R6, 1))
+	}
+	insns = append(insns,
+		isa.Mov64Reg(isa.R1, isa.R6),
+		isa.CallPseudo(1),
+		isa.Exit(),
+		isa.Mov64Reg(isa.R0, isa.R1), // subprog: return the argument
+		isa.Exit(),
+	)
+	return sockProg(insns...)
+}
+
+// claimPrograms are accepted programs that differ in length, in
+// pseudo-calls (allowStack) and in imprecise ALU ops (poisoned). Every
+// one keeps R3 and a stack pointer live, so a table that kept another
+// program's poisoned mask or allowStack would record different claims.
+func claimPrograms() []*isa.Program {
+	return []*isa.Program{
+		sockProg( // short, plain
+			isa.Mov64Imm(isa.R3, 5),
+			isa.Mov64Reg(isa.R2, isa.R10),
+			isa.Alu64Imm(isa.ALUAdd, isa.R2, -8),
+			isa.Mov64Reg(isa.R0, isa.R3),
+			isa.Exit(),
+		),
+		sockProg( // a pseudo-call: no stack claims
+			isa.Mov64Imm(isa.R3, 9),
+			isa.Mov64Reg(isa.R2, isa.R10),
+			isa.Mov64Reg(isa.R1, isa.R3),
+			isa.CallPseudo(1),
+			isa.Exit(),
+			isa.Mov64Reg(isa.R0, isa.R1),
+			isa.Alu64Imm(isa.ALUMul, isa.R0, 2),
+			isa.Exit(),
+		),
+		sockProg( // R4 poisoned by a mod by register
+			isa.Mov64Imm(isa.R3, 100),
+			isa.Mov64Imm(isa.R4, 7),
+			isa.Alu64Reg(isa.ALUMod, isa.R4, isa.R3),
+			isa.Mov64Reg(isa.R2, isa.R10),
+			isa.Alu64Imm(isa.ALUAdd, isa.R3, 1),
+			isa.Mov64Imm(isa.R0, 0),
+			isa.Exit(),
+		),
+		hotPathProgram(), // long, plain
+		dirtyProgram(),   // longest: a pseudo-call and R3, R4 poisoned
+	}
+}
+
+// claimsDiff describes the first difference between two claim tables, or
+// returns "" when they cover the same program with the same claims.
+func claimsDiff(got, want *StateTable) string {
+	if got.NumInsns() != want.NumInsns() || got.allowStack != want.allowStack || got.poisoned != want.poisoned {
+		return fmt.Sprintf("table covers %d insns (allowStack %v, poisoned %#x), want %d (%v, %#x)",
+			got.NumInsns(), got.allowStack, got.poisoned, want.NumInsns(), want.allowStack, want.poisoned)
+	}
+	for i := 0; i < want.NumInsns(); i++ {
+		for r := 0; r < isa.NumReg; r++ {
+			if g, w := got.Claim(i, r), want.Claim(i, r); g != w {
+				return fmt.Sprintf("insn %d R%d: %v, want %v", i, r, g, w)
+			}
+		}
+	}
+	return ""
+}
+
+// TestStateTableReuseMatchesFresh: recording program B into a table that
+// held program A gives, at every (insn, reg), the claims B gets in a
+// fresh table — for A longer and shorter than B, and for A and B that
+// differ in pseudo-calls and in imprecise ALU ops.
+func TestStateTableReuseMatchesFresh(t *testing.T) {
+	k := newBenchKernel()
+	progs := claimPrograms()
+	var longer, shorter, stackDiffers, poisonDiffers int
+	for ai, a := range progs {
+		for bi, b := range progs {
+			if ai == bi {
+				continue
+			}
+			cfg := k.config(nil)
+			cfg.RecordStates = true
+			fresh, err := Verify(b, cfg)
+			if err != nil {
+				t.Fatalf("program %d rejected: %v", bi, err)
+			}
+			tab := new(StateTable)
+			cfg.States = tab
+			if _, err := Verify(a, cfg); err != nil {
+				t.Fatalf("program %d rejected: %v", ai, err)
+			}
+			held := *tab
+			res, err := Verify(b, cfg)
+			if err != nil {
+				t.Fatalf("program %d rejected after %d: %v", bi, ai, err)
+			}
+			if res.States != tab {
+				t.Fatalf("A=%d B=%d: Result.States is not the caller's table", ai, bi)
+			}
+			if d := claimsDiff(tab, fresh.States); d != "" {
+				t.Errorf("A=%d B=%d: %s", ai, bi, d)
+			}
+			switch {
+			case len(a.Insns) > len(b.Insns):
+				longer++
+			case len(a.Insns) < len(b.Insns):
+				shorter++
+			}
+			if held.allowStack != tab.allowStack {
+				stackDiffers++
+			}
+			if held.poisoned != tab.poisoned {
+				poisonDiffers++
+			}
+		}
+	}
+	if longer == 0 || shorter == 0 || stackDiffers == 0 || poisonDiffers == 0 {
+		t.Errorf("pairs cover A longer %d, shorter %d, allowStack differs %d, poisoned differs %d times; want each > 0",
+			longer, shorter, stackDiffers, poisonDiffers)
 	}
 }

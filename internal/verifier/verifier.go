@@ -103,10 +103,18 @@ type Config struct {
 	Timeout time.Duration
 	// RecordStates snapshots the joined per-instruction abstract register
 	// state into Result.States for the differential soundness oracle.
-	// Off by default: recording allocates the claim table and joins every
-	// register at every simulated instruction, which the pooled zero-alloc
-	// hot path must not pay for.
+	// Off by default: recording clears a claim table the size of the
+	// program (a fresh allocation unless States supplies one) and joins
+	// every register at every simulated instruction, which the pooled
+	// zero-alloc hot path must not pay for.
 	RecordStates bool
+	// States, when non-nil, is the claim table RecordStates records into
+	// instead of allocating one per call. Once the program passes the
+	// structural checks, Verify resets the table for it, so the table
+	// holds only the latest verification's claims, and returns it as
+	// Result.States. Its buffer grows only for a program longer than any
+	// it held before. Ignored without RecordStates.
+	States *StateTable
 	// Cache, when non-nil, memoizes whole-program verdicts across Verify
 	// calls (see cache.go). It is consulted only when the run is
 	// cacheable: LogLevel 0, RecordStates off (the oracle must never see
@@ -174,7 +182,9 @@ type Result struct {
 	R0Bounds ReturnBounds
 	// States is the per-instruction joined abstract register claim table
 	// (Config.RecordStates only; nil otherwise). Indices refer to the
-	// *original* program's instructions; fixup preserves them.
+	// *original* program's instructions; fixup preserves them. When
+	// Config.States supplied the table, this is that table: the next
+	// Verify into it overwrites these claims.
 	States *StateTable
 	// Log is the verifier log (LogLevel > 0).
 	Log string
@@ -484,7 +494,11 @@ func verify(prog *isa.Program, cfg *Config, capture *[]coverage.SiteCount) (*Res
 		return nil, e.reject(0, EINVAL, "unsupported program type %s", prog.Type)
 	}
 	if cfg.RecordStates {
-		e.states = NewStateTable(prog)
+		e.states = cfg.States
+		if e.states == nil {
+			e.states = new(StateTable)
+		}
+		e.states.reset(prog)
 	}
 
 	// The worklist lives on the env so rejection returns recycle every

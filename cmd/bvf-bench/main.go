@@ -49,7 +49,7 @@ func run() int {
 		corpus     = flag.Int("corpus", 708, "self-test corpus size for overhead")
 		benchJSON  = flag.String("bench-json", "", "run the fixed-seed throughput benchmark and write a JSON report to this file")
 		oracleFlag = flag.Bool("oracle", false, "arm the abstract-state soundness oracle in the -bench-json campaign (measures its overhead)")
-		cacheFlag  = flag.Bool("cache", true, "memoize verifier verdicts in the -bench-json campaign (the committed baselines are cached)")
+		cacheFlag  = flag.Bool("cache", true, "memoize verifier verdicts in the -bench-json campaign (the committed baselines are cached; an -oracle run records claims on every verification, so it never builds a cache)")
 		baseline   = flag.String("bench-baseline", "", "committed BENCH_*.json to compare against; differing counts or a >20% iters/sec regression fail the run")
 		minHitRate = flag.Float64("min-hit-rate", 0, "fail the -bench-json run when the whole-program cache hit rate is below this fraction")
 	)
@@ -216,11 +216,14 @@ func buildReport(st *core.Stats, elapsed time.Duration, allocs, bytes uint64, or
 // to path. Allocations are measured as the runtime's Mallocs/TotalAlloc
 // delta across the campaign, so the number covers the whole pipeline
 // (generate, verify, sanitize, execute, triage), not just the verifier.
+// An oracle run gets no verdict cache: every verification records
+// claims, and the verifier never caches those.
 func runBenchJSON(path string, budget int, oracle, cached bool, baselinePath string, minHitRate float64) error {
 	iters := budget
 	if iters <= 0 {
 		iters = 3000
 	}
+	cached = cached && !oracle
 	cfg := core.CampaignConfig{
 		Source: core.BVFSource(true), Version: kernel.BPFNext,
 		Sanitize: true, Seed: 7, Oracle: oracle,

@@ -129,3 +129,27 @@ func TestCheckBaselineComparesCounts(t *testing.T) {
 		t.Error("a 0.70x throughput report passed the 0.80x floor")
 	}
 }
+
+// An oracle run records claims on every verification, and the verifier
+// never caches those, so -bench-json -oracle must not report itself as a
+// cached run even though -cache defaults to true.
+func TestBenchJSONOracleRunUncached(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "oracle.json")
+	if err := runBenchJSON(path, 200, true, true, "", 0); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep BenchReport
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Oracle || rep.Iterations != 200 {
+		t.Fatalf("report is not the 200-iteration oracle run: %s", data)
+	}
+	if rep.Cached {
+		t.Errorf("oracle run reports \"cached\": true: %s", data)
+	}
+}

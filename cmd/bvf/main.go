@@ -8,7 +8,7 @@
 //	    [-tool bvf|syzkaller|buzzer|buzzer-random]
 //	    [-nosanitize] [-v]
 //	    [-checkpoint FILE] [-checkpoint-every N] [-resume]
-//	    [-supervise] [-max-restarts N] [-watchdog D]
+//	    [-supervise] [-watchdog D]
 //	    [-triage] [-findings-dir DIR] [-oracle]
 //	    [-cpuprofile FILE] [-memprofile FILE] [-trace FILE]
 //	bvf -worker [-coordinator URL] [-worker-name NAME]
@@ -42,14 +42,16 @@
 // previous campaign from its snapshot instead of restarting. SIGINT
 // stops gracefully — the in-flight round finishes, a final checkpoint is
 // written, and the statistics so far are printed. Supervision (on by
-// default) contains harness panics as findings, rebuilds a crashed shard
-// at once behind a circuit breaker, and bounds verification/execution
-// wall-clock time with -watchdog.
+// default) contains harness panics as findings and bounds
+// verification/execution wall-clock time with -watchdog. A shard that
+// panics outside an iteration is recorded too, and ends the run with an
+// error after the partial statistics are printed; it is not restarted.
 //
 // With -triage (on by default) every deduplicated finding passes the
-// validation gauntlet after the campaign: deterministic replay,
-// cross-version × sanitizer classification, flake quarantine, and
-// budget-bounded minimization, with a per-verdict summary at the end.
+// validation gauntlet after the campaign: five deterministic replays,
+// cross-version × sanitizer classification, quarantine for a finding
+// that does not reproduce on every replay, and budget-bounded
+// minimization, with a per-verdict summary at the end.
 // The gauntlet is the only minimizer: with -triage=false findings are
 // reported unminimized.
 // -findings-dir persists gauntlet state per finding (crash-consistent,
@@ -92,8 +94,7 @@ func run() int {
 		ckptPath  = flag.String("checkpoint", "", "checkpoint file for crash-safe campaigns")
 		ckptEvery = flag.Int("checkpoint-every", 8, "rounds between checkpoints")
 		resume    = flag.Bool("resume", false, "resume the campaign from -checkpoint")
-		supervise = flag.Bool("supervise", true, "contain harness crashes and restart crashed shards")
-		maxRst    = flag.Int("max-restarts", 8, "per-shard restart budget before the shard is retired")
+		supervise = flag.Bool("supervise", true, "contain harness crashes as findings; a shard crash ends the run with partial results")
 		watchdog  = flag.Duration("watchdog", 2*time.Second, "wall-clock limit per verification/execution (0 disables)")
 
 		doTriage    = flag.Bool("triage", true, "run every finding through the validation gauntlet")
@@ -188,7 +189,6 @@ func run() int {
 		cc.Version, cc.Source.Name(), *iters, cc.Sanitize, cc.Seed, *workers)
 	cc.Supervision = core.SupervisorConfig{
 		Enabled:       *supervise,
-		MaxRestarts:   *maxRst,
 		VerifyTimeout: timeoutOrOff(*watchdog),
 		ExecTimeout:   timeoutOrOff(*watchdog),
 	}
@@ -242,8 +242,8 @@ func run() int {
 	fmt.Printf("accepted:         %d (%.1f%%)\n", st.Accepted, 100*st.AcceptanceRate())
 	fmt.Printf("verifier coverage:%d branches\n", st.Coverage.Count())
 	fmt.Printf("corpus:           %d programs\n", st.CorpusSize)
-	if st.CrashCount > 0 || st.ShardRestarts > 0 {
-		fmt.Printf("harness crashes:  %d contained (%d shard restarts)\n", st.CrashCount, st.ShardRestarts)
+	if st.CrashCount > 0 {
+		fmt.Printf("harness crashes:  %d contained\n", st.CrashCount)
 	}
 	if len(st.WatchdogTrips) > 0 {
 		fmt.Printf("watchdog trips:   %v\n", st.WatchdogTrips)

@@ -1,19 +1,15 @@
-// Package backoff is the shared exponential-backoff policy used by every
-// retry loop in the runtime: quarantine re-validation and minimization
-// retries (triage), and worker→coordinator RPC retries (orchestrator).
-// One implementation keeps the semantics identical everywhere — attempt
-// 1 sleeps Base, each further attempt doubles it, capped at Max — and
-// adds the one thing the distributed callers need that the in-process
-// one does not: seeded-deterministic jitter, so a fleet of workers
-// retrying against a briefly-unreachable coordinator decorrelates
-// without giving up reproducible tests.
+// Package backoff is the exponential-backoff policy of the
+// worker→coordinator RPC retries (orchestrator): attempt 1 sleeps Base,
+// each further attempt doubles it, capped at Max. It adds
+// seeded-deterministic jitter, so a fleet of workers retrying against a
+// briefly-unreachable coordinator decorrelates without giving up
+// reproducible tests.
 package backoff
 
 import "time"
 
 // Policy shapes an exponential backoff schedule. The zero value is not
-// useful; fill Base and Max (Exp with Jitter 0 reproduces the historic
-// triage backoff helper exactly).
+// useful; fill Base and Max.
 type Policy struct {
 	// Base is the delay before the first retry; each subsequent attempt
 	// doubles it.
@@ -28,12 +24,6 @@ type Policy struct {
 	// same Seed produce the same schedule; workers seed it with a hash of
 	// their identity so a fleet's retries spread out reproducibly.
 	Seed int64
-}
-
-// Exp returns a plain exponential policy (no jitter), the schedule the
-// triage gauntlet has always used.
-func Exp(base, max time.Duration) Policy {
-	return Policy{Base: base, Max: max}
 }
 
 // Delay returns the sleep before attempt n (1-based). n <= 1 returns the

@@ -7,7 +7,7 @@ import (
 )
 
 func TestDelayExponentialCapped(t *testing.T) {
-	p := Exp(50*time.Millisecond, 5*time.Second)
+	p := Policy{Base: 50 * time.Millisecond, Max: 5 * time.Second}
 	want := []time.Duration{
 		50 * time.Millisecond,  // attempt 1
 		100 * time.Millisecond, // 2
@@ -27,7 +27,7 @@ func TestDelayExponentialCapped(t *testing.T) {
 }
 
 func TestDelayBaseAboveMax(t *testing.T) {
-	p := Exp(10*time.Second, time.Second)
+	p := Policy{Base: 10 * time.Second, Max: time.Second}
 	if got := p.Delay(1); got != time.Second {
 		t.Errorf("Delay(1) = %v, want clamp to %v", got, time.Second)
 	}
@@ -38,7 +38,7 @@ func TestJitterDeterministicAndBounded(t *testing.T) {
 	q := Policy{Base: time.Second, Max: time.Minute, Jitter: 0.5, Seed: 43}
 	sawDifferent := false
 	for n := 1; n <= 10; n++ {
-		full := Exp(p.Base, p.Max).Delay(n)
+		full := Policy{Base: p.Base, Max: p.Max}.Delay(n)
 		d1, d2 := p.Delay(n), p.Delay(n)
 		if d1 != d2 {
 			t.Fatalf("Delay(%d) not deterministic: %v vs %v", n, d1, d2)
@@ -56,7 +56,7 @@ func TestJitterDeterministicAndBounded(t *testing.T) {
 }
 
 func TestDelayWithHintStretchesSchedule(t *testing.T) {
-	p := Exp(50*time.Millisecond, 5*time.Second)
+	p := Policy{Base: 50 * time.Millisecond, Max: 5 * time.Second}
 	// A hint above the schedule value replaces it.
 	if got := p.DelayWithHint(1, 2*time.Second); got != 2*time.Second {
 		t.Errorf("DelayWithHint(1, 2s) = %v, want 2s", got)
@@ -88,7 +88,7 @@ func TestDelayWithHintJittered(t *testing.T) {
 			t.Fatalf("DelayWithHint(%d) not deterministic: %v vs %v", n, d1, d2)
 		}
 		// The pre-jitter value is the larger of the schedule and the hint.
-		full := Exp(p.Base, p.Max).Delay(n)
+		full := Policy{Base: p.Base, Max: p.Max}.Delay(n)
 		if hint > full {
 			full = hint
 		}
@@ -107,7 +107,7 @@ func TestDelayWithHintJittered(t *testing.T) {
 func TestRetrySucceedsAfterFailures(t *testing.T) {
 	var slept []time.Duration
 	calls := 0
-	err := Retry(5, Exp(time.Millisecond, 8*time.Millisecond),
+	err := Retry(5, Policy{Base: time.Millisecond, Max: 8 * time.Millisecond},
 		func(d time.Duration) { slept = append(slept, d) },
 		func() error {
 			calls++
@@ -136,7 +136,7 @@ func TestRetrySucceedsAfterFailures(t *testing.T) {
 func TestRetryExhaustsAndReturnsLastError(t *testing.T) {
 	boom := errors.New("boom")
 	calls := 0
-	err := Retry(3, Exp(time.Microsecond, time.Microsecond), func(time.Duration) {},
+	err := Retry(3, Policy{Base: time.Microsecond, Max: time.Microsecond}, func(time.Duration) {},
 		func() error { calls++; return boom })
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)

@@ -270,32 +270,30 @@ func (c *Campaign) addNovel(p *isa.Program, novelty int) {
 // may be called repeatedly on the same campaign; iteration accounting
 // (BugRecord.FoundAt, CurvePoint.Iteration, the recycle cadence) continues
 // from where the previous call stopped rather than restarting at zero.
+//
+// Stats.Iterations advances as each iteration completes, so a Run cut
+// short by an error or a panic counts every finished iteration once.
 func (c *Campaign) Run(iters int) (*Stats, error) {
-	// Fault point outside the per-iteration containment: a panic here can
-	// only be caught by the shard supervisor, which is exactly what tests
-	// use it for.
-	faultinject.Fire("core.round")
 	sampleEvery := iters / curveSamples
 	if sampleEvery == 0 {
 		sampleEvery = 1
 	}
 	cacheStart, hasCache := c.cacheCounters()
-	base := c.stats.Iterations
 	for i := 0; i < iters; i++ {
-		gi := base + i
+		gi := c.stats.Iterations
 		if c.k == nil || gi%recycleEvery == 0 {
 			if err := c.recycle(); err != nil {
 				return nil, err
 			}
 		}
 		c.runIteration(gi)
+		c.stats.Iterations++
 		if i%sampleEvery == 0 || i == iters-1 {
 			c.stats.Curve = append(c.stats.Curve, CurvePoint{
 				Iteration: gi + 1, Branches: c.stats.Coverage.Count(),
 			})
 		}
 	}
-	c.stats.Iterations = base + iters
 	c.stats.CorpusSize = c.corpus.Len()
 	if hasCache {
 		// Fold only this Run call's delta in: checkpoint-restored Stats
@@ -331,14 +329,21 @@ func (c *Campaign) runIteration(gi int) {
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			c.stats.CrashCount++
-			if len(c.stats.HarnessCrashes) < maxHarnessCrashSamples {
-				c.stats.HarnessCrashes = append(c.stats.HarnessCrashes, recoverCrash(r, gi, c.lastProg))
-			}
-			c.k = nil
+			c.recordCrash(r, gi, c.lastProg)
 		}
 	}()
 	c.iteration(gi)
+}
+
+// recordCrash books a contained panic as a HarnessCrash at iteration gi
+// and drops the kernel, which the panic may have left mid-mutation; the
+// next iteration rebuilds it.
+func (c *Campaign) recordCrash(r any, gi int, prog *isa.Program) {
+	c.stats.CrashCount++
+	if len(c.stats.HarnessCrashes) < maxHarnessCrashSamples {
+		c.stats.HarnessCrashes = append(c.stats.HarnessCrashes, recoverCrash(r, gi, prog))
+	}
+	c.k = nil
 }
 
 // addStage accumulates one pipeline stage's wall-clock time into

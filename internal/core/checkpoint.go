@@ -57,8 +57,7 @@ func (c *countedSource) fastForward(n uint64) {
 // at round barriers aligned with the recycle cadence, where a fresh
 // kernel is built anyway.
 type CampaignState struct {
-	// Seed is the shard's current RNG seed (differs from the campaign
-	// base seed after a supervised restart).
+	// Seed is the shard's RNG seed.
 	Seed int64
 	// Draws is how many RNG state steps the shard has consumed.
 	Draws  uint64
@@ -86,14 +85,8 @@ type Snapshot struct {
 	Seed    int64
 	Workers int
 	// Round is the number of completed coordinator rounds.
-	Round    int
-	Restarts []int
-	Dead     []bool
-	// CrashCount and Crashes are the coordinator-level (shard supervisor)
-	// crash records; per-iteration crashes live in each shard's Stats.
-	CrashCount int
-	Crashes    []HarnessCrash
-	Shards     []*CampaignState
+	Round  int
+	Shards []*CampaignState
 	// Global is the merged cross-shard coverage map.
 	Global *coverage.Map
 	// Curve is the exact global coverage curve recorded at barriers.
@@ -190,17 +183,13 @@ func (c *Campaign) restoreState(st *CampaignState) {
 // snapshot captures the whole parallel campaign. Barrier-only.
 func (p *ParallelCampaign) snapshot() *Snapshot {
 	s := &Snapshot{
-		Tool:       p.cfg.Source.Name(),
-		Version:    p.cfg.Version,
-		Seed:       p.cfg.Seed,
-		Workers:    len(p.shards),
-		Round:      p.round,
-		Restarts:   append([]int(nil), p.restarts...),
-		Dead:       append([]bool(nil), p.dead...),
-		CrashCount: p.crashCount,
-		Crashes:    append([]HarnessCrash(nil), p.crashes...),
-		Global:     p.global,
-		Curve:      append([]CurvePoint(nil), p.stats.Curve...),
+		Tool:    p.cfg.Source.Name(),
+		Version: p.cfg.Version,
+		Seed:    p.cfg.Seed,
+		Workers: len(p.shards),
+		Round:   p.round,
+		Global:  p.global,
+		Curve:   append([]CurvePoint(nil), p.stats.Curve...),
 	}
 	for _, sh := range p.shards {
 		s.Shards = append(s.Shards, sh.exportState())
@@ -263,13 +252,5 @@ func (p *ParallelCampaign) Resume(snap *Snapshot) error {
 	p.stats = NewStats(p.cfg.Source.Name(), p.cfg.Version)
 	p.stats.Curve = append([]CurvePoint(nil), snap.Curve...)
 	p.round = snap.Round
-	if len(snap.Restarts) == len(p.restarts) {
-		copy(p.restarts, snap.Restarts)
-	}
-	if len(snap.Dead) == len(p.dead) {
-		copy(p.dead, snap.Dead)
-	}
-	p.crashCount = snap.CrashCount
-	p.crashes = append([]HarnessCrash(nil), snap.Crashes...)
 	return nil
 }

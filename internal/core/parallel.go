@@ -61,13 +61,7 @@ type ParallelCampaign struct {
 	shards []*Campaign
 	global *coverage.Map
 	stats  *Stats
-
-	// Supervision state, touched only at round barriers.
-	restarts   []int  // shard restarts so far (circuit-breaker input)
-	dead       []bool // shards retired by the circuit breaker
-	crashCount int    // shard-level contained panics
-	crashes    []HarnessCrash
-	round      int // completed coordinator rounds (checkpoint cadence)
+	round  int // completed coordinator rounds (checkpoint cadence)
 
 	// stopped requests a graceful stop; Run honours it at round edges.
 	stopped atomic.Bool
@@ -106,13 +100,10 @@ func NewParallelCampaign(cfg ParallelConfig) *ParallelCampaign {
 	if cfg.CheckpointEvery <= 0 {
 		cfg.CheckpointEvery = 8
 	}
-	cfg.Supervision = cfg.Supervision.withDefaults()
 	p := &ParallelCampaign{
-		cfg:      cfg,
-		global:   coverage.NewMap(),
-		stats:    NewStats(cfg.Source.Name(), cfg.Version),
-		restarts: make([]int, cfg.Workers),
-		dead:     make([]bool, cfg.Workers),
+		cfg:    cfg,
+		global: coverage.NewMap(),
+		stats:  NewStats(cfg.Source.Name(), cfg.Version),
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		sc := cfg.CampaignConfig
@@ -150,104 +141,46 @@ func SplitQuota(total, shards int) []int {
 // goroutine, e.g. a signal handler.
 func (p *ParallelCampaign) Stop() { p.stopped.Store(true) }
 
-// shardOutcome is what one shard goroutine reports back at the barrier.
-type shardOutcome struct {
-	err   error
-	crash *HarnessCrash
-}
-
 // Run executes total fuzzing iterations divided evenly across the shards
 // and returns the merged statistics. Like Campaign.Run it may be called
 // repeatedly; accounting continues on the global iteration axis.
 //
-// When supervision is enabled each shard goroutine runs under a
-// supervisor: a shard that panics past the per-iteration containment is
-// recorded as a HarnessCrash, its unfinished round quota is refunded
-// (shard statistics only advance at round ends, so nothing is double
-// counted), and the shard is rebuilt at once with a fresh kernel and a
-// derived RNG seed; sleeping first would stall the healthy shards at the
-// barrier too. A shard that keeps crashing trips the MaxRestarts circuit
-// breaker: it is retired and its remaining quota is redistributed to the
-// surviving shards.
+// A shard that fails ends Run with that shard's error once the round's
+// barrier is reached, the way a failing unit fails a distributed
+// campaign. With supervision enabled that includes a panic escaping the
+// per-iteration containment (a failed kernel rebuild, say): runShard
+// records it as a HarnessCrash in the shard's own statistics. The shard
+// is not rebuilt and re-run: the harness is deterministic, so it would
+// crash again.
 //
-// On error Run still merges every healthy shard's statistics and returns
-// them alongside the error — hours of fuzzing results from the other
-// shards must not vanish because one shard failed.
+// On error Run still merges every shard's statistics and returns them
+// alongside the error — hours of fuzzing results from the other shards
+// must not vanish because one shard failed.
 func (p *ParallelCampaign) Run(total int) (*Stats, error) {
 	quota := SplitQuota(total, len(p.shards))
-	// Quota assigned to already-retired shards (after a resume) moves to
-	// the survivors immediately.
-	for i := range p.shards {
-		if p.dead[i] {
-			p.redistribute(i, quota)
-		}
-	}
-
 	stopReport := p.startReporter()
 	defer stopReport()
 
-	sup := p.cfg.Supervision
 	var firstErr error
 	for remaining(quota) && firstErr == nil && !p.stopped.Load() {
-		outcomes := make([]shardOutcome, len(p.shards))
-		ran := make([]int, len(p.shards))
+		errs := make([]error, len(p.shards))
 		var wg sync.WaitGroup
 		for i := range p.shards {
-			if p.dead[i] {
-				continue
-			}
-			n := quota[i]
-			if n > p.cfg.SyncEvery {
-				n = p.cfg.SyncEvery
-			}
+			n := min(quota[i], p.cfg.SyncEvery)
 			if n == 0 {
 				continue
 			}
 			quota[i] -= n
-			ran[i] = n
 			wg.Add(1)
 			go func(i, n int) {
 				defer wg.Done()
-				if sup.Enabled {
-					defer func() {
-						if r := recover(); r != nil {
-							crash := recoverCrash(r, p.shards[i].stats.Iterations, nil)
-							crash.Shard = i
-							outcomes[i].crash = &crash
-						}
-					}()
-				}
-				_, outcomes[i].err = p.shards[i].Run(n)
+				errs[i] = p.runShard(i, n)
 			}(i, n)
 		}
 		wg.Wait()
-
-		for i := range outcomes {
-			if crash := outcomes[i].crash; crash != nil {
-				p.crashCount++
-				if len(p.crashes) < maxHarnessCrashSamples {
-					p.crashes = append(p.crashes, *crash)
-				}
-				// The crashed round never reached the shard's statistics
-				// (Campaign.Run commits Iterations at completion), so the
-				// whole chunk is refunded and re-run.
-				quota[i] += ran[i]
-				p.restarts[i]++
-				if p.restarts[i] > sup.MaxRestarts {
-					p.dead[i] = true
-					p.redistribute(i, quota)
-					continue
-				}
-				p.rebuildShard(i)
-				continue
-			}
-			if err := outcomes[i].err; err != nil && firstErr == nil {
+		for i, err := range errs {
+			if err != nil && firstErr == nil {
 				firstErr = fmt.Errorf("parallel campaign: shard %d: %w", i, err)
-			}
-		}
-		if p.allDead() {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("parallel campaign: all %d shards retired after repeated crashes", len(p.shards))
 			}
 		}
 		p.sync()
@@ -273,56 +206,23 @@ func (p *ParallelCampaign) Run(total int) (*Stats, error) {
 	return p.stats, nil
 }
 
-// rebuildShard replaces shard i's campaign after a contained crash. The
-// shard keeps its identity — statistics (including the local iteration
-// axis and coverage) and corpus carry over — while the kernel and the RNG
-// trajectory are fresh: the kernel may have been left mid-mutation by the
-// panic, and a derived seed keeps the rebuilt shard from deterministically
-// replaying the crashing trajectory.
-func (p *ParallelCampaign) rebuildShard(i int) {
-	old := p.shards[i]
-	sc := p.cfg.CampaignConfig
-	sc.Seed = deriveSeed(p.cfg.Seed, i, p.restarts[i])
-	nc := NewCampaign(sc)
-	nc.stats = old.stats
-	nc.stats.ShardRestarts++
-	nc.corpus = old.corpus
-	nc.novel = old.novel
-	// The crashed shard's in-flight sibling batch dies with its RNG
-	// trajectory; lift the parent pin so it does not outlive the batch.
-	nc.corpus.Unpin()
-	p.shards[i] = nc
-}
-
-// redistribute hands shard i's remaining quota to the surviving shards,
-// round-robin. With no survivors the quota is dropped; Run then fails
-// with an all-shards-retired error.
-func (p *ParallelCampaign) redistribute(i int, quota []int) {
-	n := quota[i]
-	quota[i] = 0
-	var live []int
-	for j := range p.shards {
-		if !p.dead[j] {
-			live = append(live, j)
-		}
+// runShard runs n iterations of shard i. Supervised, it recovers a panic
+// that escaped the per-iteration containment: the panic becomes a
+// HarnessCrash in the shard's statistics, the shard's kernel is dropped
+// (the panic may have left it mid-rebuild), and the panic value is
+// returned as the shard's error.
+func (p *ParallelCampaign) runShard(i, n int) (err error) {
+	sh := p.shards[i]
+	if p.cfg.Supervision.Enabled {
+		defer func() {
+			if r := recover(); r != nil {
+				sh.recordCrash(r, sh.stats.Iterations, nil)
+				err = fmt.Errorf("panic: %v", r)
+			}
+		}()
 	}
-	if len(live) == 0 {
-		return
-	}
-	for k := 0; n > 0; k++ {
-		quota[live[k%len(live)]]++
-		n--
-	}
-}
-
-// allDead reports whether the circuit breaker has retired every shard.
-func (p *ParallelCampaign) allDead() bool {
-	for i := range p.shards {
-		if !p.dead[i] {
-			return false
-		}
-	}
-	return true
+	_, err = sh.Run(n)
+	return err
 }
 
 // sync is the coordinator round, run single-threaded at the barrier: it
@@ -413,17 +313,6 @@ func (p *ParallelCampaign) mergeStats() {
 		st := *sh.Stats()
 		st.Coverage, st.Curve = nil, nil
 		merged.Merge(st.OnGlobalAxis(i, len(p.shards)))
-	}
-	// Shard-level crashes (caught by the goroutine supervisor rather than
-	// the per-iteration containment) live on the coordinator, not in any
-	// shard's statistics.
-	merged.CrashCount += p.crashCount
-	for _, h := range p.crashes {
-		if len(merged.HarnessCrashes) >= maxHarnessCrashSamples {
-			break
-		}
-		h.Iteration = globalIteration(h.Iteration, h.Shard, len(p.shards))
-		merged.HarnessCrashes = append(merged.HarnessCrashes, h)
 	}
 	// Merge replayed the (empty) curve; restore the global one.
 	merged.Curve = p.stats.Curve

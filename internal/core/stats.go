@@ -109,8 +109,9 @@ type Stats struct {
 	HarnessCrashes []HarnessCrash
 	// CrashCount counts every contained harness panic.
 	CrashCount int
-	// ShardRestarts counts supervised shard rebuilds after shard-level
-	// panics.
+	// Deprecated: ShardRestarts is never incremented: a shard that panics
+	// outside an iteration ends the run instead of being rebuilt. Merge
+	// still adds it.
 	ShardRestarts int
 
 	// Verdict-cache effectiveness (CampaignConfig.Cache only; all zero

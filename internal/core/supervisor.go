@@ -9,18 +9,18 @@ import (
 )
 
 // SupervisorConfig parameterizes the self-healing layer of a campaign:
-// panic containment around each fuzzing iteration, wall-clock watchdogs
-// on verification and execution, and (for ParallelCampaign) shard
-// restart policy. With Enabled false every mechanism is off and the
-// campaign behaves exactly as an unsupervised one — a fixed-seed run
-// produces bit-identical statistics either way, because supervision only
-// observes (recover, time checks) and never consumes campaign RNG.
+// panic containment around each fuzzing iteration and wall-clock
+// watchdogs on verification and execution. A ParallelCampaign shard that
+// panics outside an iteration is recorded and ends the run; it is never
+// restarted. With Enabled false every mechanism is off and the campaign
+// behaves exactly as an unsupervised one — a fixed-seed run produces
+// bit-identical statistics either way, because supervision only observes
+// (recover, time checks) and never consumes campaign RNG.
 type SupervisorConfig struct {
 	// Enabled turns on panic containment and the watchdogs.
 	Enabled bool
-	// MaxRestarts is the per-shard restart budget of the circuit
-	// breaker: a shard that crashes more than this many times is retired
-	// and its remaining iteration quota redistributed. Default 8.
+	// Deprecated: MaxRestarts is ignored. A shard that panics outside an
+	// iteration ends the run instead of being restarted.
 	MaxRestarts int
 	// VerifyTimeout bounds wall-clock verification per program. Default
 	// 2s; negative disables the verify watchdog while supervised.
@@ -34,9 +34,6 @@ type SupervisorConfig struct {
 func (s SupervisorConfig) withDefaults() SupervisorConfig {
 	if !s.Enabled {
 		return s
-	}
-	if s.MaxRestarts == 0 {
-		s.MaxRestarts = 8
 	}
 	if s.VerifyTimeout == 0 {
 		s.VerifyTimeout = 2 * time.Second
@@ -82,18 +79,6 @@ type HarnessCrash struct {
 	// Program is the program being fuzzed when the harness panicked, for
 	// reproduction (nil when the panic hit outside an iteration).
 	Program *isa.Program
-}
-
-// deriveSeed produces the RNG seed for restart incarnation `restart` of
-// shard `shard`: deterministic, collision-resistant across (shard,
-// restart) pairs, and distinct from every base shard seed so a rebuilt
-// shard explores a fresh trajectory instead of replaying the one that
-// crashed.
-func deriveSeed(base int64, shard, restart int) int64 {
-	z := uint64(base) ^ (0x9e3779b97f4a7c15 * (uint64(shard)*1_000_003 + uint64(restart)))
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64(z ^ (z >> 31))
 }
 
 // recoverCrash converts a recovered panic value into a HarnessCrash.

@@ -69,7 +69,7 @@ func TestHelperBadSizeIsFinding(t *testing.T) {
 	st, err := NewCampaign(CampaignConfig{
 		Source: BVFSource(true), Version: kernel.BPFNext, Sanitize: true,
 		Seed: 12000339, Cache: vcache.NewStore(0),
-		Supervision: SupervisorConfig{Enabled: true, MaxRestarts: 8, VerifyTimeout: 2 * time.Second, ExecTimeout: 2 * time.Second},
+		Supervision: SupervisorConfig{Enabled: true, VerifyTimeout: 2 * time.Second, ExecTimeout: 2 * time.Second},
 	}).Run(30000)
 	if err != nil {
 		t.Fatal(err)
@@ -100,67 +100,72 @@ func TestIterationPanicPropagatesUnsupervised(t *testing.T) {
 	_, _ = c.Run(50)
 }
 
-// TestShardPanicRestart: a panic outside iteration containment kills the
-// shard goroutine; the supervisor must record it, rebuild the shard with
-// a derived seed, refund the lost round quota, and still complete the
-// full iteration budget.
-func TestShardPanicRestart(t *testing.T) {
-	defer faultinject.Reset()
-	// Two shards Fire once per round chunk; hit 2 panics exactly one
-	// shard in the first round, past the iteration-level recover.
-	faultinject.Arm("core.round", faultinject.Fault{Kind: faultinject.Panic, OnHit: 2})
+// TestShardPanicEndsRun: a supervised shard that panics outside the
+// per-iteration containment — here in a kernel rebuild in the middle of
+// a round — ends the run with that shard's error. The panic is a
+// HarnessCrash in the merged statistics, the shard's kernel is dropped,
+// and every iteration is counted once: each one was accepted, rejected
+// or stopped by the verify watchdog exactly once.
+func TestShardPanicEndsRun(t *testing.T) {
+	for _, tc := range []struct {
+		workers, syncEvery int
+		// onHit picks the rebuild that panics. With 1 shard, rebuilds
+		// run at local iterations 0 and 512 of the first 1024-iteration
+		// round. With 2 shards and 768-iteration rounds, the first
+		// round holds 4 rebuilds (iterations 0 and 512 of each shard)
+		// and the second round's only rebuilds are at iteration 1024,
+		// so hit 5 is mid-round on whichever shard reaches it first.
+		onHit     uint64
+		wantLocal int
+	}{
+		{workers: 1, syncEvery: 1024, onHit: 2, wantLocal: 512},
+		{workers: 2, syncEvery: 768, onHit: 5, wantLocal: 1024},
+	} {
+		t.Run(strconv.Itoa(tc.workers)+"shards", func(t *testing.T) {
+			defer faultinject.Reset()
+			faultinject.Arm("core.recycle", faultinject.Fault{Kind: faultinject.Panic, OnHit: tc.onHit})
 
-	p := NewParallelCampaign(supervisedConfig(2, 21))
-	st, err := p.Run(2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Iterations != 2000 {
-		t.Fatalf("Iterations = %d, want 2000 (crashed quota must be refunded)", st.Iterations)
-	}
-	if st.ShardRestarts != 1 {
-		t.Fatalf("ShardRestarts = %d, want 1", st.ShardRestarts)
-	}
-	if st.CrashCount != 1 {
-		t.Fatalf("CrashCount = %d, want 1", st.CrashCount)
-	}
-	if len(st.HarnessCrashes) != 1 {
-		t.Fatalf("HarnessCrashes = %d, want 1", len(st.HarnessCrashes))
-	}
-	if s := st.HarnessCrashes[0].Shard; s != 0 && s != 1 {
-		t.Errorf("crash shard = %d, want 0 or 1", s)
-	}
-	// The curve must stay consistent on the global axis despite the
-	// refund/restart.
-	assertCurveConsistent(t, st)
-}
-
-// TestShardCircuitBreaker: a shard that crashes on every round exhausts
-// MaxRestarts and is retired; with every shard retired Run fails — but
-// still returns the (empty here) merged statistics rather than nil.
-func TestShardCircuitBreaker(t *testing.T) {
-	defer faultinject.Reset()
-	faultinject.Arm("core.round", faultinject.Fault{Kind: faultinject.Panic, Every: 1})
-
-	cfg := supervisedConfig(2, 5)
-	cfg.Supervision.MaxRestarts = 2
-	p := NewParallelCampaign(cfg)
-	st, err := p.Run(2000)
-	if err == nil {
-		t.Fatal("want error after all shards retired")
-	}
-	if !strings.Contains(err.Error(), "retired") {
-		t.Errorf("error = %v, want all-shards-retired", err)
-	}
-	if st == nil {
-		t.Fatal("Run must return merged statistics alongside the error")
-	}
-	if st.CrashCount != 6 {
-		// 2 shards × (MaxRestarts=2 restarts + the final crash) = 6.
-		t.Errorf("CrashCount = %d, want 6", st.CrashCount)
-	}
-	if st.Iterations != 0 {
-		t.Errorf("Iterations = %d, want 0 (every round crashed)", st.Iterations)
+			cfg := supervisedConfig(tc.workers, 5)
+			cfg.SyncEvery = tc.syncEvery
+			p := NewParallelCampaign(cfg)
+			st, err := p.Run(4096)
+			if err == nil {
+				t.Fatal("a shard panic must end the run with an error")
+			}
+			if st == nil {
+				t.Fatal("Run must return merged statistics alongside the error")
+			}
+			if st.CrashCount != 1 || len(st.HarnessCrashes) != 1 {
+				t.Fatalf("CrashCount = %d, HarnessCrashes = %d, want the one panic",
+					st.CrashCount, len(st.HarnessCrashes))
+			}
+			crash := st.HarnessCrashes[0]
+			if !strings.Contains(crash.Value, `injected panic at "core.recycle"`) {
+				t.Errorf("crash value = %q, want the injected rebuild panic", crash.Value)
+			}
+			for _, want := range []string{"shard " + strconv.Itoa(crash.Shard) + ":", crash.Value} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not name %q", err, want)
+				}
+			}
+			if want := globalIteration(tc.wantLocal, crash.Shard, tc.workers); crash.Iteration != want {
+				t.Errorf("crash at global iteration %d, want %d (local %d on shard %d)",
+					crash.Iteration, want, tc.wantLocal, crash.Shard)
+			}
+			if p.shards[crash.Shard].k != nil {
+				t.Error("the crashed shard kept its kernel")
+			}
+			outcomes := st.Accepted + st.WatchdogTrips["verify"]
+			for _, n := range st.ErrnoHist {
+				outcomes += n
+			}
+			if outcomes != st.Iterations {
+				t.Errorf("%d outcomes for %d iterations, want one per iteration", outcomes, st.Iterations)
+			}
+			if st.Iterations >= 4096 {
+				t.Errorf("Iterations = %d: the run went on after the shard crashed", st.Iterations)
+			}
+		})
 	}
 }
 

@@ -3,10 +3,14 @@ package orchestrator
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 // postStatus POSTs req as JSON to url and returns the HTTP status.
@@ -130,5 +134,85 @@ func TestMalformedResultStatsKeepsLease(t *testing.T) {
 	rr, err := NewClient(srv.URL, "w1").Result(good)
 	if err != nil || rr.Status != StatusAccepted {
 		t.Fatalf("good result after the 400 = (%+v, %v), want accepted", rr, err)
+	}
+}
+
+// TestSlowClientsDisconnected: NewHTTPServer cuts off a client that
+// stalls mid-header and one that stalls mid-body, and while both hold
+// their connections a neighbouring campaign's lease and result go
+// through. The timeouts are shortened on the returned server so the test
+// takes seconds, not minutes.
+func TestSlowClientsDisconnected(t *testing.T) {
+	spec1, spec2 := testSpec(), testSpec()
+	spec2.Seed = 5
+	m, ids := newTestManager(t, ManagerConfig{}, spec1, spec2)
+	srv := NewHTTPServer(m)
+	if srv.ReadHeaderTimeout != 10*time.Second || srv.ReadTimeout != time.Minute || srv.IdleTimeout != 2*time.Minute {
+		t.Fatalf("timeouts header %v, read %v, idle %v; want 10s, 1m, 2m",
+			srv.ReadHeaderTimeout, srv.ReadTimeout, srv.IdleTimeout)
+	}
+	srv.ReadHeaderTimeout = time.Second
+	srv.ReadTimeout = 2 * time.Second
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+
+	stall := func(partial string) net.Conn {
+		t.Helper()
+		c, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		if _, err := io.WriteString(c, partial); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	lr := m.Lease(LeaseRequest{Worker: "w1", Campaign: ids[0]})
+	if lr.Status != StatusLease {
+		t.Fatalf("lease = %+v", lr)
+	}
+	start := time.Now()
+	header := stall("POST " + PathLease + " HTTP/1.1\r\nHost: bvfd\r\nContent-Type: application/json\r\n")
+	body := stall(fmt.Sprintf("POST %s HTTP/1.1\r\nHost: bvfd\r\nContent-Type: application/json\r\n"+
+		"Content-Length: 4096\r\n\r\n{\"worker\":\"w1\",\"campaign\":%q,\"unit_id\":%d,", PathResult, ids[0], lr.Unit.ID))
+
+	cl := NewClient("http://"+ln.Addr().String(), "w2")
+	next, err := cl.Lease(LeaseRequest{Worker: "w2", Campaign: ids[1]})
+	if err != nil || next.Status != StatusLease {
+		t.Fatalf("neighbouring campaign lease = (%+v, %v), want a lease", next, err)
+	}
+	rr, err := cl.Result(ResultRequest{
+		Worker: "w2", Campaign: ids[1], UnitID: next.Unit.ID, Token: next.Token,
+		Stats: runUnit(t, next.Spec, next.Unit),
+	})
+	if err != nil || rr.Status != StatusAccepted {
+		t.Fatalf("neighbouring campaign result = (%+v, %v), want accepted", rr, err)
+	}
+	if d := time.Since(start); d >= srv.ReadHeaderTimeout {
+		t.Errorf("the neighbour's lease and result took %v, past the stalled clients' %v header timeout", d, srv.ReadHeaderTimeout)
+	}
+
+	for _, c := range []struct {
+		name  string
+		conn  net.Conn
+		limit time.Duration
+	}{{"mid-header", header, srv.ReadHeaderTimeout}, {"mid-body", body, srv.ReadTimeout}} {
+		c.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		resp, err := io.ReadAll(c.conn)
+		if err != nil {
+			t.Errorf("%s client still connected after %v: %v", c.name, time.Since(start), err)
+			continue
+		}
+		if d := time.Since(start); d < c.limit {
+			t.Errorf("%s client cut off after %v, before its %v timeout", c.name, d, c.limit)
+		}
+		if strings.Contains(string(resp), "200 OK") {
+			t.Errorf("%s client got a success response: %q", c.name, resp)
+		}
 	}
 }

@@ -11,8 +11,7 @@
 // Completed/Failed) that is checkpointed and restored across
 // coordinator restarts.
 //
-// The robustness model is the PR 2 shard supervisor promoted from
-// goroutines to processes:
+// The robustness model, for shards run as worker processes:
 //
 //   - Work units are leased, never assigned: a lease carries a fencing
 //     token and a wall-clock TTL kept alive by heartbeats. A worker that

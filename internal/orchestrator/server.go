@@ -24,6 +24,21 @@ const (
 	PathDrain     = "/v1/drain"
 )
 
+// NewHTTPServer returns the control plane of m (NewServer) as an
+// *http.Server for the caller to Serve on its own listener. Its timeouts
+// bound how long a slow or stalled client holds a connection: 10 s to
+// send the request headers, 1 min to send the whole request, and 2 min
+// idle on a kept-alive connection. The largest body, a unit's result, is
+// about 25 KB.
+func NewHTTPServer(m *Manager) *http.Server {
+	return &http.Server{
+		Handler:           NewServer(m),
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       time.Minute,
+		IdleTimeout:       2 * time.Minute,
+	}
+}
+
 // NewServer wraps a campaign manager in the HTTP+JSON control plane.
 // Every handler passes the "orch.server" fault point first, so tests can
 // make the coordinator drop requests (500) deterministically and prove

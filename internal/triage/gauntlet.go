@@ -6,38 +6,24 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/backoff"
 	"repro/internal/bugs"
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/kernel"
 )
 
-// Config parameterizes the gauntlet. Zero values select defaults.
-type Config struct {
-	// Replays is the number of deterministic-replay attempts per
-	// validation round; all must reproduce the exact signature for the
-	// finding to advance.
-	Replays int
-	// RetryCap bounds quarantine re-validation rounds. A finding still
-	// flaky after the cap stays quarantined (with its evidence) — it is
-	// reported as such, never silently dropped.
-	RetryCap int
-	// MinimizeRetries is how many watchdog-tripped minimization attempts
-	// are retried (with backoff) before falling back to the unminimized
-	// reproducer.
-	MinimizeRetries int
-	// Sleep, when non-nil, replaces time.Sleep for backoff waits (tests
-	// stub it out).
-	Sleep func(time.Duration)
-}
+// Config is the gauntlet's configuration. It has no fields: every bound
+// is a constant below. It stays so callers keep building gauntlets with
+// New(Config{}, store).
+type Config struct{}
 
 // Fixed gauntlet bounds.
 const (
-	// backoffBase/backoffMax shape the exponential backoff between
-	// quarantine re-validation rounds and minimization retries.
-	backoffBase = 100 * time.Millisecond
-	backoffMax  = 2 * time.Second
+	// replays is the number of deterministic replays a finding gets in
+	// its discovery environment; all must reproduce the exact signature
+	// for it to advance. The harness is deterministic, so a finding that
+	// misses one is quarantined at once rather than replayed again.
+	replays = 5
 	// minimizeRounds and minimizeRoundBudget bound the minimization
 	// stage; its total wall clock is core's default budget (see
 	// core.MinimizeOptions).
@@ -45,28 +31,9 @@ const (
 	minimizeRoundBudget = 2 * time.Second
 )
 
-func (c Config) withDefaults() Config {
-	if c.Replays <= 0 {
-		c.Replays = 5
-	}
-	if c.RetryCap <= 0 {
-		c.RetryCap = 3
-	}
-	if c.MinimizeRetries < 0 {
-		c.MinimizeRetries = 0
-	} else if c.MinimizeRetries == 0 {
-		c.MinimizeRetries = 2
-	}
-	if c.Sleep == nil {
-		c.Sleep = time.Sleep
-	}
-	return c
-}
-
 // Gauntlet drives findings through the validation stages, persisting
 // after every transition.
 type Gauntlet struct {
-	cfg   Config
 	store *Store
 	// crashes is the harness-crash provenance used to correlate
 	// non-reproducing findings with our own contained panics.
@@ -74,8 +41,8 @@ type Gauntlet struct {
 }
 
 // New builds a gauntlet over the given store.
-func New(cfg Config, store *Store) *Gauntlet {
-	return &Gauntlet{cfg: cfg.withDefaults(), store: store}
+func New(_ Config, store *Store) *Gauntlet {
+	return &Gauntlet{store: store}
 }
 
 // Ingest converts a campaign's deduplicated bug manifestations (plus its
@@ -160,30 +127,23 @@ func (g *Gauntlet) process(f *Finding) error {
 	return nil
 }
 
-// stageReplay runs one validation round of N deterministic replays in
-// the finding's discovery environment.
+// stageReplay replays the finding deterministically in its discovery
+// environment, on pristine kernels:
 //
-//   - every replay matches      → advance (promoting a quarantined finding)
+//   - every replay matches      → advance
 //   - none match + correlated   → harness artifact, done
-//   - anything else             → quarantine; retry with backoff up to
-//     the cap, then stay quarantined with the evidence
+//   - anything else             → quarantined with the evidence, done
 func (g *Gauntlet) stageReplay(f *Finding) {
 	matched := 0
-	base := len(f.Replays)
-	for i := 0; i < g.cfg.Replays; i++ {
-		rep := replayOnce(f.Raw.Env, f.Raw.Key, base+i+1, f.Raw.Program)
+	for i := 0; i < replays; i++ {
+		rep := replayOnce(f.Raw.Env, f.Raw.Key, i+1, f.Raw.Program)
 		f.Replays = append(f.Replays, rep)
 		if matches(f.Raw.Key, rep) {
 			matched++
 		}
 	}
 	switch {
-	case matched == g.cfg.Replays:
-		if f.Verdict == Flaky {
-			f.Note = fmt.Sprintf("promoted from quarantine: %d/%d replays reproduced after %d earlier round(s)",
-				matched, g.cfg.Replays, f.Attempts)
-		}
-		f.Verdict = Pending
+	case matched == replays:
 		f.Stage = StageCrossConfig
 	case matched == 0 && g.artifactCorrelated(f):
 		f.Verdict = HarnessArtifact
@@ -191,23 +151,9 @@ func (g *Gauntlet) stageReplay(f *Finding) {
 		f.Stage = StageDone
 	default:
 		f.Verdict = Flaky
-		f.Attempts++
-		if f.Attempts > g.cfg.RetryCap {
-			f.Note = fmt.Sprintf("quarantined: %d/%d replays reproduced in final round; retry cap (%d) exhausted",
-				matched, g.cfg.Replays, g.cfg.RetryCap)
-			f.Stage = StageDone
-			return
-		}
-		f.Note = fmt.Sprintf("quarantined: %d/%d replays reproduced; re-validation round %d/%d pending",
-			matched, g.cfg.Replays, f.Attempts, g.cfg.RetryCap)
-		g.cfg.Sleep(g.backoff(f.Attempts))
+		f.Note = fmt.Sprintf("quarantined: %d/%d replays reproduced", matched, replays)
+		f.Stage = StageDone
 	}
-}
-
-// backoff returns the exponential re-validation delay for round n
-// (shared schedule in internal/backoff).
-func (g *Gauntlet) backoff(n int) time.Duration {
-	return backoff.Exp(backoffBase, backoffMax).Delay(n)
 }
 
 // artifactCorrelated reports whether a non-reproducing finding traces
@@ -289,11 +235,10 @@ func (g *Gauntlet) classify(f *Finding) {
 	}
 }
 
-// stageMinimize shrinks the reproducer under the configured budgets,
-// retrying watchdog-tripped attempts with backoff and falling back to
-// the unminimized program (with a note) when the budget is exhausted or
-// the surface is not checkable. Whatever happens here, the finding has
-// survived replay and classification: it leaves as Stable.
+// stageMinimize shrinks the reproducer under core.MinimizeOpts' round
+// and wall-clock budgets, falling back to the unminimized program (with
+// a note) when the surface is not checkable. Whatever happens here, the
+// finding has survived replay and classification: it leaves as Stable.
 func (g *Gauntlet) stageMinimize(f *Finding) {
 	defer func() {
 		f.Stage = StageDone
@@ -311,23 +256,9 @@ func (g *Gauntlet) stageMinimize(f *Finding) {
 		f.MinimizeNote = "reproducer not checkable on the minimization surface; reported unminimized"
 		return
 	}
-	for attempt := 0; ; attempt++ {
-		// The stall/watchdog window for minimization, distinct from the
-		// per-round budget inside MinimizeOpts.
-		if err := faultinject.FireErr("triage.minimize"); err != nil {
-			if attempt >= g.cfg.MinimizeRetries {
-				f.MinimizeNote = fmt.Sprintf("minimization budget exhausted after %d attempt(s) (%v); reported unminimized",
-					attempt+1, err)
-				return
-			}
-			g.cfg.Sleep(g.backoff(attempt + 1))
-			continue
-		}
-		f.Minimized = core.MinimizeOpts(rep, f.Raw.Program, core.MinimizeOptions{
-			MaxRounds: minimizeRounds, RoundBudget: minimizeRoundBudget,
-		})
-		return
-	}
+	f.Minimized = core.MinimizeOpts(rep, f.Raw.Program, core.MinimizeOptions{
+		MaxRounds: minimizeRounds, RoundBudget: minimizeRoundBudget,
+	})
 }
 
 // Summary tallies the store by verdict.
@@ -403,8 +334,7 @@ func (s *Summary) Print(w io.Writer) {
 					ok++
 				}
 			}
-			fmt.Fprintf(w, "  evidence: %d/%d replays reproduced across %d round(s)\n",
-				ok, len(f.Replays), f.Attempts)
+			fmt.Fprintf(w, "  evidence: %d/%d replays reproduced\n", ok, len(f.Replays))
 		}
 	}
 }

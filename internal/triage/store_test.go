@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
@@ -126,7 +125,7 @@ func TestGauntletResumeMidway(t *testing.T) {
 	if err := s.Put(f); err != nil {
 		t.Fatal(err)
 	}
-	g := New(Config{Sleep: func(time.Duration) {}}, s)
+	g := New(Config{}, s)
 
 	// The first stage boundary passes; the crash hits before the second.
 	faultinject.Arm("triage.stage", faultinject.Fault{Kind: faultinject.Error, OnHit: 2})
@@ -150,7 +149,7 @@ func TestGauntletResumeMidway(t *testing.T) {
 		t.Fatalf("persisted replays = %d, want the full first round", len(got.Replays))
 	}
 
-	g2 := New(Config{Sleep: func(time.Duration) {}}, s2)
+	g2 := New(Config{}, s2)
 	sum, err := g2.Run()
 	if err != nil {
 		t.Fatal(err)

@@ -6,12 +6,12 @@
 // versions it affects, and shrinking the reproducer (§6.5). This package
 // automates that discipline and adds the operational hardening a
 // multi-day campaign needs: deterministic replay on pristine kernels,
-// cross-version × sanitizer classification, quarantine (with evidence
-// and bounded re-validation) for findings that do not reproduce
-// deterministically, correlation against harness-crash provenance so
-// our own bugs are never reported as kernel bugs, and a crash-consistent
-// on-disk store so a killed process resumes triage mid-gauntlet instead
-// of redoing or — worse — dropping it.
+// cross-version × sanitizer classification, quarantine (with evidence)
+// for findings that do not reproduce on every replay, correlation
+// against harness-crash provenance so our own bugs are never reported
+// as kernel bugs, and a crash-consistent on-disk store so a killed
+// process resumes triage mid-gauntlet instead of redoing or — worse —
+// dropping it.
 package triage
 
 import (
@@ -35,8 +35,9 @@ const (
 	// possible) minimized — reportable.
 	Stable
 	// Flaky: did not reproduce on every replay. Quarantined with its
-	// replay evidence and re-validated with backoff up to the retry cap;
-	// never silently dropped.
+	// replay evidence, never silently dropped. It is not replayed again:
+	// a replay runs on a pristine kernel whose time and randomness
+	// helpers are counters, so another round would give the same result.
 	Flaky
 	// HarnessArtifact: correlated with a contained harness crash or
 	// injected fault — our bug, not the kernel's.
@@ -147,8 +148,8 @@ type RawFinding struct {
 // Report is the outcome of one replay attempt — the quarantine evidence
 // kept for flaky findings.
 type Report struct {
-	// Attempt numbers the replay across validation rounds (1-based);
-	// 0 for cross-config matrix probes.
+	// Attempt numbers the replay (1-based); 0 for cross-config matrix
+	// probes.
 	Attempt    int
 	Reproduced bool
 	// Bug, Kind, Indicator describe the anomaly the replay actually
@@ -175,7 +176,7 @@ type Finding struct {
 	Stage   Stage
 	Verdict Verdict
 	Class   Class
-	// Replays is the full replay evidence, across validation rounds.
+	// Replays is the replay evidence.
 	Replays []Report
 	// Matrix is the cross-config classification grid.
 	Matrix []MatrixCell
@@ -188,13 +189,11 @@ type Finding struct {
 	// Minimized is the shrunken stable reproducer, when minimization
 	// applied and succeeded.
 	Minimized *isa.Program
-	// MinimizeNote explains a minimization fallback (no program, surface
-	// not checkable, watchdog budget exhausted).
+	// MinimizeNote explains a minimization fallback (no program, or a
+	// surface minimization cannot check).
 	MinimizeNote string
-	// Attempts counts quarantine re-validation rounds consumed.
-	Attempts int
 	// Note carries verdict provenance (quarantine evidence summary,
-	// promotion, artifact correlation).
+	// artifact correlation).
 	Note string
 }
 

@@ -82,25 +82,6 @@ func (p Policy) DelayWithHint(n int, hint time.Duration) time.Duration {
 	return d
 }
 
-// Retry calls fn up to attempts times, sleeping p.Delay(attempt) between
-// failures via sleep (pass nil for time.Sleep). It returns nil on the
-// first success, or the last error once the attempts are exhausted.
-func Retry(attempts int, p Policy, sleep func(time.Duration), fn func() error) error {
-	if sleep == nil {
-		sleep = time.Sleep
-	}
-	var err error
-	for n := 1; n <= attempts; n++ {
-		if err = fn(); err == nil {
-			return nil
-		}
-		if n < attempts {
-			sleep(p.Delay(n))
-		}
-	}
-	return err
-}
-
 // splitmix64 is the standard avalanche mix (same constants as
 // internal/faultinject), here keying jitter fractions.
 func splitmix64(x uint64) uint64 {

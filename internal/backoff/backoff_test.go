@@ -1,7 +1,6 @@
 package backoff
 
 import (
-	"errors"
 	"testing"
 	"time"
 )
@@ -101,47 +100,5 @@ func TestDelayWithHintJittered(t *testing.T) {
 	}
 	if !sawDifferent {
 		t.Error("two seeds produced identical hinted schedules; shed load will not spread")
-	}
-}
-
-func TestRetrySucceedsAfterFailures(t *testing.T) {
-	var slept []time.Duration
-	calls := 0
-	err := Retry(5, Policy{Base: time.Millisecond, Max: 8 * time.Millisecond},
-		func(d time.Duration) { slept = append(slept, d) },
-		func() error {
-			calls++
-			if calls < 3 {
-				return errors.New("transient")
-			}
-			return nil
-		})
-	if err != nil {
-		t.Fatalf("Retry: %v", err)
-	}
-	if calls != 3 {
-		t.Errorf("fn called %d times, want 3", calls)
-	}
-	wantSleeps := []time.Duration{time.Millisecond, 2 * time.Millisecond}
-	if len(slept) != len(wantSleeps) {
-		t.Fatalf("slept %v, want %v", slept, wantSleeps)
-	}
-	for i := range slept {
-		if slept[i] != wantSleeps[i] {
-			t.Errorf("sleep %d = %v, want %v", i, slept[i], wantSleeps[i])
-		}
-	}
-}
-
-func TestRetryExhaustsAndReturnsLastError(t *testing.T) {
-	boom := errors.New("boom")
-	calls := 0
-	err := Retry(3, Policy{Base: time.Microsecond, Max: time.Microsecond}, func(time.Duration) {},
-		func() error { calls++; return boom })
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want %v", err, boom)
-	}
-	if calls != 3 {
-		t.Errorf("fn called %d times, want 3", calls)
 	}
 }

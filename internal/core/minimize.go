@@ -17,10 +17,15 @@ import (
 
 // Reproducer couples a bug id with a checker that rebuilds a pristine
 // kernel and reports whether a candidate program still triggers the bug.
+//
+// Check must be a pure function of the program: MinimizeOpts does not
+// re-check a candidate an earlier pass already rejected. NewReproducer's
+// Check is one, because every call sees a pristine kernel and no
+// watchdog.
 type Reproducer struct {
 	Bug bugs.ID
-	// Check loads and runs prog on a fresh kernel, returning true when
-	// the same bug is triggered.
+	// Check reports whether prog, loaded (and run, unless the bug is
+	// raised at load) on a pristine kernel, triggers the same bug.
 	Check func(prog *isa.Program) bool
 }
 
@@ -55,6 +60,14 @@ func Minimize(rep *Reproducer, prog *isa.Program, maxRounds int) *isa.Program {
 }
 
 // MinimizeOpts is Minimize with explicit round and wall-clock bounds.
+//
+// A pass walks back to front and keeps every removal Check accepts.
+// When a pass walks down to index 0, the candidates below the lowest
+// index it removed are isa.RemoveAt of the program it ends with, and
+// Validate or Check rejected each of them. So until the next pass
+// removes something, it stops at that index: Check is pure and would
+// reject them again. A pass cut short by its round budget has not tried
+// them, and the pass after it walks down to index 0.
 func MinimizeOpts(rep *Reproducer, prog *isa.Program, o MinimizeOptions) *isa.Program {
 	cur := prog.Clone()
 	if o.MaxRounds <= 0 {
@@ -68,6 +81,9 @@ func MinimizeOpts(rep *Reproducer, prog *isa.Program, o MinimizeOptions) *isa.Pr
 	if budget > 0 {
 		deadline = time.Now().Add(budget)
 	}
+	// rejected is the lowest index the previous full pass removed: every
+	// candidate below it has been checked against cur and rejected.
+	rejected := 0
 	for round := 0; round < o.MaxRounds; round++ {
 		// Lets tests inject a stall that trips the budgets deterministically.
 		faultinject.Fire("core.minimize.round")
@@ -75,13 +91,17 @@ func MinimizeOpts(rep *Reproducer, prog *isa.Program, o MinimizeOptions) *isa.Pr
 		if o.RoundBudget > 0 {
 			roundDeadline = time.Now().Add(o.RoundBudget)
 		}
-		shrunk := false
+		lowest, cut := -1, false
 		// Walk back to front so indices stay stable across removals.
 		for i := len(cur.Insns) - 1; i >= 0; i-- {
+			if lowest < 0 && i < rejected {
+				break
+			}
 			if !deadline.IsZero() && !time.Now().Before(deadline) {
 				return cur
 			}
 			if !roundDeadline.IsZero() && !time.Now().Before(roundDeadline) {
+				cut = true
 				break
 			}
 			cand, err := isa.RemoveAt(cur, i)
@@ -90,11 +110,15 @@ func MinimizeOpts(rep *Reproducer, prog *isa.Program, o MinimizeOptions) *isa.Pr
 			}
 			if rep.Check(cand) {
 				cur = cand
-				shrunk = true
+				lowest = i
 			}
 		}
-		if !shrunk {
+		if lowest < 0 {
 			break
+		}
+		rejected = lowest
+		if cut {
+			rejected = 0
 		}
 	}
 	return cur
@@ -122,8 +146,14 @@ func NewReplayKernel(version kernel.Version, override bugs.Set, sanitize, oracle
 // maps, fds, tail-call target) — so every probe still sees a pristine
 // environment without paying a full kernel build per minimization
 // candidate.
+//
+// A bug the kernel raises only at load (kernel.RaisedOnlyAtLoad) is
+// decided by LoadProgram alone: a candidate that loads does not
+// reproduce it, so Check runs nothing, and the kernel is built without
+// the oracle, whose claims only Run's replay reads.
 func NewReproducer(version kernel.Version, override bugs.Set, sanitize, oracle bool, bug bugs.ID) *Reproducer {
-	k, pool, kerr := NewReplayKernel(version, override, sanitize, oracle)
+	atLoad := kernel.RaisedOnlyAtLoad(bug)
+	k, pool, kerr := NewReplayKernel(version, override, sanitize, oracle && !atLoad)
 	first := true
 	return &Reproducer{
 		Bug: bug,
@@ -146,6 +176,9 @@ func NewReproducer(version kernel.Version, override bugs.Set, sanitize, oracle b
 				if a := kernel.Classify(err); a != nil {
 					return k.Triage(a, prog) == bug
 				}
+				return false
+			}
+			if atLoad {
 				return false
 			}
 			for run := 0; run < 2; run++ {

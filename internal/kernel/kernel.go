@@ -632,6 +632,13 @@ func Classify(err error) *Anomaly {
 	return nil
 }
 
+// RaisedOnlyAtLoad reports whether Triage attributes id only to an error
+// LoadProgram returns, never to a run of a loaded program. Bug #8 is the
+// one such bug: LoadProgram alone raises its SyscallBugError, and Triage
+// attributes it from the syscall-warning kind alone. So a program that
+// loads cannot reproduce it, whatever its runs do.
+func RaisedOnlyAtLoad(id bugs.ID) bool { return id == bugs.Bug8Kmemdup }
+
 // Triage attributes an anomaly on an accepted program to a seeded bug:
 // for verifier bugs it re-verifies the program with each armed knob
 // individually disabled — if disabling knob X makes the verifier reject

@@ -35,9 +35,6 @@ const (
 // after every transition.
 type Gauntlet struct {
 	store *Store
-	// crashes is the harness-crash provenance used to correlate
-	// non-reproducing findings with our own contained panics.
-	crashes []core.HarnessCrash
 }
 
 // New builds a gauntlet over the given store.
@@ -48,13 +45,15 @@ func New(_ Config, store *Store) *Gauntlet {
 // Ingest converts a campaign's deduplicated bug manifestations (plus its
 // unattributed anomaly samples) into raw findings and stores them at the
 // first stage. Findings already in the store — a resumed run — keep
-// their recorded stage and evidence. Harness-crash samples are absorbed
-// as correlation provenance. Returns how many findings were added.
+// their recorded stage and evidence. Harness-crash samples go into the
+// store as correlation provenance. Returns how many findings were added.
 func (g *Gauntlet) Ingest(st *core.Stats, env Env) (int, error) {
 	if st == nil {
 		return 0, nil
 	}
-	g.crashes = append(g.crashes, st.HarnessCrashes...)
+	if err := g.store.AddCrashes(st.HarnessCrashes); err != nil {
+		return 0, err
+	}
 	added := 0
 	ingest := func(f *Finding) error {
 		if g.store.Has(f.Key()) {
@@ -158,12 +157,13 @@ func (g *Gauntlet) stageReplay(f *Finding) {
 
 // artifactCorrelated reports whether a non-reproducing finding traces
 // back to the harness itself: its recorded fault came from injected
-// faults, or a contained harness crash shares its iteration or program.
+// faults, or a contained harness crash the store holds shares its
+// iteration or program.
 func (g *Gauntlet) artifactCorrelated(f *Finding) bool {
 	if strings.Contains(f.Raw.Err, "faultinject: injected") {
 		return true
 	}
-	for _, c := range g.crashes {
+	for _, c := range g.store.Crashes() {
 		if c.Iteration == f.Raw.FoundAt {
 			return true
 		}

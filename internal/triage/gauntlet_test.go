@@ -244,9 +244,11 @@ func TestGauntletHarnessArtifact(t *testing.T) {
 }
 
 // TestGauntletCrashCorrelation: a finding sharing its iteration with a
-// contained harness crash is an artifact, not a kernel bug.
+// contained harness crash is an artifact, not a kernel bug. The store
+// keeps the crash samples, so a fresh gauntlet over a reopened disk
+// store (as bvfd -triage runs over a campaign's findings) correlates
+// alike.
 func TestGauntletCrashCorrelation(t *testing.T) {
-	store, _ := Open("")
 	st := core.NewStats("BVF", kernel.BPFNext)
 	st.UnattributedSamples = append(st.UnattributedSamples, core.BugRecord{
 		Kind: "kernel-panic", Indicator: kernel.Indicator2, FoundAt: 777,
@@ -255,15 +257,25 @@ func TestGauntletCrashCorrelation(t *testing.T) {
 	st.HarnessCrashes = append(st.HarnessCrashes, core.HarnessCrash{
 		Shard: 0, Iteration: 777, Value: "runtime error: index out of range",
 	})
-	g := New(Config{}, store)
-	if _, err := g.Ingest(st, testEnv()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.Run(); err != nil {
-		t.Fatal(err)
-	}
-	f := store.Sorted()[0]
-	if f.Verdict != HarnessArtifact {
-		t.Errorf("verdict = %v, want harness-artifact via crash correlation", f.Verdict)
+	for _, dir := range []string{"", t.TempDir()} {
+		store, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := New(Config{}, store).Ingest(st, testEnv()); err != nil {
+			t.Fatal(err)
+		}
+		if dir != "" {
+			if store, err = Open(dir); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := New(Config{}, store).Run(); err != nil {
+			t.Fatal(err)
+		}
+		f := store.Sorted()[0]
+		if f.Verdict != HarnessArtifact {
+			t.Errorf("store %q: verdict = %v (%s), want harness-artifact via crash correlation", dir, f.Verdict, f.Note)
+		}
 	}
 }

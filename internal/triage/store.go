@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
 	"repro/internal/checkpoint"
+	"repro/internal/core"
 )
 
 // Store is the crash-consistent finding store: one checkpoint-enveloped
@@ -18,19 +20,28 @@ import (
 // or its new one, never torn — so a resumed process continues the
 // gauntlet mid-finding instead of redoing or dropping work.
 //
+// Beside the findings the store keeps the campaign's harness-crash
+// samples, which the gauntlet correlates non-reproducing findings with;
+// they are written to one more file, only when there are any. So every
+// gauntlet over the store correlates alike, however the findings got
+// there.
+//
 // An empty dir keeps the store memory-only (tests, one-shot runs).
 type Store struct {
 	dir      string
 	findings map[string]*Finding
+	crashes  []core.HarnessCrash
 	damaged  []string
 }
 
 // filePrefix/fileSuffix frame finding filenames; the suffix filter also
 // keeps Open from reading the checkpoint package's ".tmp" staging files
-// a crash may have left behind.
+// a crash may have left behind. crashesFile holds the harness-crash
+// samples.
 const (
-	filePrefix = "finding-"
-	fileSuffix = ".ckpt"
+	filePrefix  = "finding-"
+	fileSuffix  = ".ckpt"
+	crashesFile = "harness-crashes.ckpt"
 )
 
 // Open loads every finding persisted under dir (creating it if needed).
@@ -63,6 +74,14 @@ func Open(dir string) (*Store, error) {
 			return nil, fmt.Errorf("triage: store: %w", err)
 		}
 		s.findings[f.Key()] = &f
+	}
+	if path := filepath.Join(dir, crashesFile); checkpoint.Exists(path) {
+		if err := checkpoint.Load(path, &s.crashes); err != nil {
+			if !errors.Is(err, checkpoint.ErrCorrupt) {
+				return nil, fmt.Errorf("triage: store: %w", err)
+			}
+			s.damaged = append(s.damaged, crashesFile)
+		}
 	}
 	sort.Strings(s.damaged)
 	return s, nil
@@ -107,6 +126,32 @@ func (s *Store) Sorted() []*Finding {
 	}
 	return out
 }
+
+// AddCrashes records harness-crash samples and persists them all. A
+// sample already recorded at the same shard, iteration and panic value
+// is skipped: a resumed campaign ingests its statistics again. With
+// nothing new it writes nothing.
+func (s *Store) AddCrashes(cs []core.HarnessCrash) error {
+	n := len(s.crashes)
+	for _, c := range cs {
+		if !slices.ContainsFunc(s.crashes, func(d core.HarnessCrash) bool {
+			return d.Shard == c.Shard && d.Iteration == c.Iteration && d.Value == c.Value
+		}) {
+			s.crashes = append(s.crashes, c)
+		}
+	}
+	if len(s.crashes) == n || s.dir == "" {
+		return nil
+	}
+	if err := checkpoint.Save(filepath.Join(s.dir, crashesFile), s.crashes); err != nil {
+		s.crashes = s.crashes[:n]
+		return fmt.Errorf("triage: store harness crashes: %w", err)
+	}
+	return nil
+}
+
+// Crashes returns the recorded harness-crash samples.
+func (s *Store) Crashes() []core.HarnessCrash { return s.crashes }
 
 // Damaged returns the filenames Open rejected as corrupt.
 func (s *Store) Damaged() []string { return append([]string(nil), s.damaged...) }

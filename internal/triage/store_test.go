@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/isa"
 	"repro/internal/kernel"
 )
 
@@ -194,5 +195,41 @@ func TestStorePutSurfacesDirSyncFailure(t *testing.T) {
 	}
 	if !s2.Has(f.Key()) {
 		t.Fatal("finding missing after recovered Put and reopen")
+	}
+}
+
+// TestStoreCrashSamplesPersist: harness-crash samples survive a reopen,
+// a sample recorded again is kept once, and a store that never saw one
+// writes no file for them.
+func TestStoreCrashSamplesPersist(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddCrashes(nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, crashesFile)); !os.IsNotExist(err) {
+		t.Fatalf("no samples, yet %s exists (stat: %v)", crashesFile, err)
+	}
+	a := core.HarnessCrash{Shard: 0, Iteration: 777, Value: "boom"}
+	b := core.HarnessCrash{Shard: 1, Iteration: 778, Value: "boom", Program: &isa.Program{
+		Type: isa.ProgTypeSocketFilter, Insns: []isa.Instruction{isa.Mov64Imm(isa.R0, 0), isa.Exit()},
+	}}
+	if err := s.AddCrashes([]core.HarnessCrash{a}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddCrashes([]core.HarnessCrash{a, b}); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := s2.Crashes()
+	if len(got) != 2 || got[0].Iteration != a.Iteration || got[1].Iteration != b.Iteration ||
+		got[1].Program.String() != b.Program.String() {
+		t.Errorf("reopened store holds %+v, want the two samples once each", got)
 	}
 }

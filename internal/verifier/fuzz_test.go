@@ -73,14 +73,26 @@ func FuzzVerifyNoPanic(f *testing.F) {
 	})
 }
 
+// loadView renders what a kernel load takes from one verification: the
+// verdict, and for an accepted program the verified program, its range
+// checks and the instructions processed.
+func loadView(res *Result, err error) string {
+	if err != nil {
+		return fmt.Sprint(err)
+	}
+	return fmt.Sprintf("%s\nrange checks %v\ninsns processed %d", res.Prog, res.RangeChecks, res.InsnProcessed)
+}
+
 // FuzzVerifyRecordStatesNoPanic replays the same contract with the
 // oracle's state recording armed: the claim-join path must be as
 // panic-free as the bare verifier, and accepted programs must come back
 // with a state table sized to the original instruction stream. Recording
-// into a table that held another program must also give the verdict and
-// claims a fresh table gets: once after a two-instruction program (the
-// table grows) and once after dirtyProgram (rows to clear, and a
-// pseudo-call and poisoned registers to forget).
+// claims must never change a load: with RecordStates off the verdict, the
+// verified program, its range checks and the instructions processed are
+// the same. Recording into a table that held another program must also
+// give the verdict and claims a fresh table gets: once after a
+// two-instruction program (the table grows) and once after dirtyProgram
+// (rows to clear, and a pseudo-call and poisoned registers to forget).
 func FuzzVerifyRecordStatesNoPanic(f *testing.F) {
 	f.Add(uint8(1), encodeProgram(hotPathProgram()))
 	f.Add(uint8(1), encodeProgram(rejectProgram()))
@@ -102,6 +114,7 @@ func FuzzVerifyRecordStatesNoPanic(f *testing.F) {
 		}
 		cfg := k.config(coverage.NewMap())
 		cfg.Timeout = 500 * time.Millisecond
+		off := *cfg
 		cfg.RecordStates = true
 		res, err := Verify(prog, cfg)
 		if err == nil {
@@ -111,6 +124,13 @@ func FuzzVerifyRecordStatesNoPanic(f *testing.F) {
 			if res.States.NumInsns() != len(prog.Insns) {
 				t.Fatalf("state table covers %d insns, program has %d",
 					res.States.NumInsns(), len(prog.Insns))
+			}
+		}
+		offRes, offErr := Verify(prog, &off)
+		var te *TimeoutError
+		if !errors.As(err, &te) && !errors.As(offErr, &te) {
+			if got, want := loadView(res, err), loadView(offRes, offErr); got != want {
+				t.Fatalf("recording claims changed the load:\n--- RecordStates on:\n%s\n--- off:\n%s", got, want)
 			}
 		}
 
@@ -125,7 +145,6 @@ func FuzzVerifyRecordStatesNoPanic(f *testing.F) {
 			cfg.States = tab
 			Verify(prev, cfg)
 			_, got := Verify(prog, cfg)
-			var te *TimeoutError
 			if errors.As(got, &te) || errors.As(want, &te) {
 				return // a watchdog trip stops recording at a wall-clock point
 			}

@@ -106,7 +106,11 @@ type Config struct {
 	// Off by default: recording clears a claim table the size of the
 	// program (a fresh allocation unless States supplies one) and joins
 	// every register at every simulated instruction, which the pooled
-	// zero-alloc hot path must not pay for.
+	// zero-alloc hot path must not pay for. Recording never changes the
+	// verification itself: the verdict, Result.Prog, Result.RangeChecks
+	// and Result.InsnProcessed are the same with it off
+	// (FuzzVerifyRecordStatesNoPanic checks this), so a load that reads
+	// no claims can skip it.
 	RecordStates bool
 	// States, when non-nil, is the claim table RecordStates records into
 	// instead of allocating one per call. Once the program passes the

@@ -301,7 +301,6 @@ func (c *Campaign) Run(iters int) (*Stats, error) {
 		end, _ := c.cacheCounters()
 		c.stats.CacheHits += end.Hits - cacheStart.Hits
 		c.stats.CacheMisses += end.Misses - cacheStart.Misses
-		c.stats.CacheInsertedBytes += end.InsertedBytes - cacheStart.InsertedBytes
 	}
 	return c.stats, nil
 }
@@ -355,32 +354,25 @@ func (c *Campaign) addStage(stage string, d time.Duration) {
 	c.stats.StageNanos[stage] += int64(d)
 }
 
-// isVerifierTimeout matches the verify watchdog's TimeoutError without
-// the errors.As target cell escaping to the heap on the (common)
-// non-timeout path: kernel error values are concrete types, so a direct
-// assertion handles them and the reflective walk only runs for errors
-// that actually wrap something.
+// isVerifierTimeout reports whether err or an error it wraps is the
+// verify watchdog's TimeoutError. It walks the chain with type
+// assertions, as kernel.Classify does, because an errors.As target
+// would move to the heap on every call.
 func isVerifierTimeout(err error) bool {
-	if _, ok := err.(*verifier.TimeoutError); ok {
-		return true
-	}
-	switch err.(type) {
-	case interface{ Unwrap() error }, interface{ Unwrap() []error }:
-		var te *verifier.TimeoutError
-		return errors.As(err, &te)
+	for ; err != nil; err = errors.Unwrap(err) {
+		if _, ok := err.(*verifier.TimeoutError); ok {
+			return true
+		}
 	}
 	return false
 }
 
 // isExecWatchdog is the execution-side twin of isVerifierTimeout.
 func isExecWatchdog(err error) bool {
-	if _, ok := err.(*runtime.WatchdogError); ok {
-		return true
-	}
-	switch err.(type) {
-	case interface{ Unwrap() error }, interface{ Unwrap() []error }:
-		var we *runtime.WatchdogError
-		return errors.As(err, &we)
+	for ; err != nil; err = errors.Unwrap(err) {
+		if _, ok := err.(*runtime.WatchdogError); ok {
+			return true
+		}
 	}
 	return false
 }

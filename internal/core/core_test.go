@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -8,6 +10,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/kernel"
 	"repro/internal/maps"
+	"repro/internal/runtime"
 	"repro/internal/verifier"
 )
 
@@ -423,6 +426,42 @@ func TestCoverageCurveMonotonic(t *testing.T) {
 		if st.Curve[i].Iteration <= st.Curve[i-1].Iteration {
 			t.Fatal("curve iterations not increasing")
 		}
+	}
+}
+
+// TestErrorWalksAllocationFree pins that classifying a load or run error
+// allocates nothing, bare or wrapped: every rejected program goes through
+// rejectInfo and kernel.Classify, and every failed load or run through
+// the watchdog predicates.
+func TestErrorWalksAllocationFree(t *testing.T) {
+	ve := &verifier.Error{Msg: "invalid mem access", Errno: verifier.EACCES}
+	sb := &kernel.SyscallBugError{Size: 8192}
+	timeout := fmt.Errorf("verify: %w", &verifier.TimeoutError{})
+	watchdog := fmt.Errorf("run: %w", &runtime.WatchdogError{})
+	inputs := []error{
+		ve, fmt.Errorf("load: %w", ve), sb, fmt.Errorf("load: %w", sb),
+		&verifier.TimeoutError{}, timeout, &runtime.WatchdogError{}, watchdog,
+		errors.New("other"),
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = kernel.Classify(ve) }); n != 0 {
+		t.Errorf("kernel.Classify(verifier.Error) allocates %v times", n)
+	}
+	for _, err := range inputs {
+		if n := testing.AllocsPerRun(100, func() { _, _ = rejectInfo(err) }); n != 0 {
+			t.Errorf("rejectInfo(%v) allocates %v times", err, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { _ = isVerifierTimeout(err) }); n != 0 {
+			t.Errorf("isVerifierTimeout(%v) allocates %v times", err, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { _ = isExecWatchdog(err) }); n != 0 {
+			t.Errorf("isExecWatchdog(%v) allocates %v times", err, n)
+		}
+	}
+	if errno, word := rejectInfo(fmt.Errorf("load: %w", ve)); errno != verifier.EACCES || word != "invalid" {
+		t.Errorf("rejectInfo(wrapped verifier.Error) = %d %q", errno, word)
+	}
+	if !isVerifierTimeout(timeout) || !isExecWatchdog(watchdog) || isVerifierTimeout(watchdog) {
+		t.Error("watchdog predicates misread a wrapped error")
 	}
 }
 

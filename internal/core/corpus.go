@@ -151,15 +151,15 @@ func (c *Corpus) Import(entries []CorpusEntry) {
 }
 
 // rejectInfo extracts the errno and a short reason key from a program
-// load failure.
+// load failure, walking err's wrap chain like isVerifierTimeout.
 func rejectInfo(err error) (errno int, word string) {
-	var ve *verifier.Error
-	if errors.As(err, &ve) {
-		return ve.Errno, ve.Reason()
-	}
-	var sb *kernel.SyscallBugError
-	if errors.As(err, &sb) {
-		return verifier.EINVAL, "kmemdup"
+	for e := err; e != nil; e = errors.Unwrap(e) {
+		switch e := e.(type) {
+		case *verifier.Error:
+			return e.Errno, e.Reason()
+		case *kernel.SyscallBugError:
+			return verifier.EINVAL, "kmemdup"
+		}
 	}
 	return verifier.EINVAL, "other"
 }

@@ -114,13 +114,10 @@ type Stats struct {
 	// still adds it.
 	ShardRestarts int
 
-	// Verdict-cache effectiveness (CampaignConfig.Cache only; all zero
-	// otherwise). Hits/Misses count whole-program verdict lookups, and
-	// CacheInsertedBytes estimates the memory volume of the entries this
-	// campaign inserted.
-	CacheHits          int64
-	CacheMisses        int64
-	CacheInsertedBytes int64
+	// Verdict-cache effectiveness (CampaignConfig.Cache only; both zero
+	// otherwise): whole-program verdict lookups that hit and missed.
+	CacheHits   int64
+	CacheMisses int64
 }
 
 // TimeoutRecord is one watchdog-tripped program kept for triage.
@@ -279,7 +276,6 @@ func (s *Stats) Merge(other *Stats) {
 	s.ShardRestarts += other.ShardRestarts
 	s.CacheHits += other.CacheHits
 	s.CacheMisses += other.CacheMisses
-	s.CacheInsertedBytes += other.CacheInsertedBytes
 	s.Curve = mergeCurves(s.Curve, other.Curve)
 }
 

@@ -48,14 +48,6 @@ func SiteOf(loc string) Site {
 type Map struct {
 	mu    sync.RWMutex
 	sites map[Site]uint64 // hit counts
-
-	// Sorted-snapshot cache: Snapshot and Signature are called on every
-	// reporter tick and corpus admission, but the *site set* only changes
-	// when a Hit or Merge inserts a previously unseen site. The cache is
-	// invalidated on insertion only — count bumps on known sites keep it.
-	snapCache []Site
-	sigCache  uint64
-	sigValid  bool
 }
 
 // NewMap returns an empty coverage map.
@@ -69,18 +61,8 @@ func (m *Map) Hit(s Site) {
 		return
 	}
 	m.mu.Lock()
-	if _, known := m.sites[s]; !known {
-		m.invalidateLocked()
-	}
 	m.sites[s]++
 	m.mu.Unlock()
-}
-
-// invalidateLocked drops the sorted-snapshot cache; the caller holds the
-// write lock.
-func (m *Map) invalidateLocked() {
-	m.snapCache = nil
-	m.sigValid = false
 }
 
 // HitLoc records one execution of the site named by loc.
@@ -139,30 +121,6 @@ func (m *Map) Merge(other *Map) int {
 		}
 		m.sites[s] += n
 	}
-	if fresh > 0 {
-		m.invalidateLocked()
-	}
-	return fresh
-}
-
-// Diff returns the number of sites covered by other but not by m, without
-// modifying either map. Like Merge, it never holds both locks at once.
-func (m *Map) Diff(other *Map) int {
-	if m == nil || other == nil {
-		return 0
-	}
-	if m == other {
-		return 0
-	}
-	snap := other.snapshotCounts()
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	fresh := 0
-	for s := range snap {
-		if _, ok := m.sites[s]; !ok {
-			fresh++
-		}
-	}
 	return fresh
 }
 
@@ -194,9 +152,6 @@ func (m *Map) AddSites(sites []SiteCount) int {
 		}
 		m.sites[sc.Site] += sc.Count
 	}
-	if fresh > 0 {
-		m.invalidateLocked()
-	}
 	return fresh
 }
 
@@ -204,33 +159,26 @@ func (m *Map) AddSites(sites []SiteCount) int {
 func (m *Map) Reset() {
 	m.mu.Lock()
 	m.sites = make(map[Site]uint64)
-	m.invalidateLocked()
 	m.mu.Unlock()
 }
 
-// Snapshot returns the covered sites in deterministic (sorted) order. The
-// sort is cached until the next site insertion; the returned slice is the
-// caller's to keep.
+// Snapshot returns the covered sites in deterministic (sorted) order, in
+// a slice that is the caller's to keep.
 func (m *Map) Snapshot() []Site {
-	m.mu.Lock()
-	snap := m.sortedLocked()
-	out := append([]Site(nil), snap...)
-	m.mu.Unlock()
-	return out
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return m.sortedLocked()
 }
 
-// sortedLocked returns (building if needed) the cached sorted site list;
-// the caller holds the write lock and must not retain the slice outside it.
+// sortedLocked returns the covered sites in ascending order; the caller
+// holds the lock, read or write.
 func (m *Map) sortedLocked() []Site {
-	if m.snapCache == nil {
-		out := make([]Site, 0, len(m.sites))
-		for s := range m.sites {
-			out = append(out, s)
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-		m.snapCache = out
+	out := make([]Site, 0, len(m.sites))
+	for s := range m.sites {
+		out = append(out, s)
 	}
-	return m.snapCache
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
 }
 
 // MarshalBinary serializes the map as a deterministic (sorted) sequence of
@@ -241,12 +189,12 @@ func (m *Map) MarshalBinary() ([]byte, error) {
 	if m == nil {
 		return nil, nil
 	}
-	// One write lock for the whole walk: taking Snapshot() first and
+	// One read lock for the whole walk: taking Snapshot() first and
 	// re-locking to read the counts would let a concurrent Hit/Merge land
 	// between the two, serializing a site list from one instant with
 	// counts from another (a torn snapshot under checkpoint-while-running).
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.mu.RLock()
+	defer m.mu.RUnlock()
 	sites := m.sortedLocked()
 	out := make([]byte, 0, 8+16*len(sites))
 	var b [8]byte
@@ -270,7 +218,6 @@ func (m *Map) UnmarshalBinary(data []byte) error {
 	if len(data) == 0 {
 		m.mu.Lock()
 		m.sites = make(map[Site]uint64)
-		m.invalidateLocked()
 		m.mu.Unlock()
 		return nil
 	}
@@ -295,20 +242,16 @@ func (m *Map) UnmarshalBinary(data []byte) error {
 	}
 	m.mu.Lock()
 	m.sites = sites
-	m.invalidateLocked()
 	m.mu.Unlock()
 	return nil
 }
 
-// Signature returns a 64-bit digest of the covered-site set, used by
-// corpora to deduplicate inputs by coverage profile. Like Snapshot it is
-// cached until the next site insertion.
+// Signature returns a 64-bit FNV-1a digest of the covered-site set, in
+// sorted order: equal site sets give equal signatures, whatever their
+// counts or insertion order.
 func (m *Map) Signature() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.sigValid {
-		return m.sigCache
-	}
+	m.mu.RLock()
+	defer m.mu.RUnlock()
 	h := uint64(fnvOffset64)
 	for _, s := range m.sortedLocked() {
 		v := uint64(s)
@@ -317,7 +260,5 @@ func (m *Map) Signature() uint64 {
 			h *= fnvPrime64
 		}
 	}
-	m.sigCache = h
-	m.sigValid = true
 	return h
 }

@@ -55,19 +55,6 @@ func TestMergeReturnsFreshCount(t *testing.T) {
 	}
 }
 
-func TestDiffDoesNotModify(t *testing.T) {
-	a, b := NewMap(), NewMap()
-	a.HitLoc("s1")
-	b.HitLoc("s1")
-	b.HitLoc("s2")
-	if d := a.Diff(b); d != 1 {
-		t.Errorf("Diff = %d, want 1", d)
-	}
-	if a.Count() != 1 {
-		t.Error("Diff modified the receiver")
-	}
-}
-
 func TestSignatureAndSnapshot(t *testing.T) {
 	a, b := NewMap(), NewMap()
 	for _, loc := range []string{"x", "y", "z"} {
@@ -157,10 +144,8 @@ func TestMergeConcurrentBidirectional(t *testing.T) {
 				for i := 0; i < 500; i++ {
 					if g%2 == 0 {
 						a.Merge(b)
-						a.Diff(b)
 					} else {
 						b.Merge(a)
-						b.Diff(a)
 					}
 					// Writers interleave so reader starvation /
 					// writer-queuing interactions are exercised too.
@@ -193,9 +178,6 @@ func TestMergeSelfIsNoop(t *testing.T) {
 	}
 	if m.Hits(s) != 2 {
 		t.Errorf("self-merge changed hit count to %d", m.Hits(s))
-	}
-	if d := m.Diff(m); d != 0 {
-		t.Errorf("self-diff = %d, want 0", d)
 	}
 }
 

@@ -79,9 +79,6 @@ func (l *Local) FlushTo(m *Map) int {
 			}
 			m.sites[s] += n
 		}
-		if fresh > 0 {
-			m.invalidateLocked()
-		}
 		m.mu.Unlock()
 	}
 	for s := range l.sites {

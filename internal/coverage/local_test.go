@@ -52,27 +52,28 @@ func TestLocalNilSafe(t *testing.T) {
 	}
 }
 
-// TestSnapshotCacheInvalidation exercises the sorted-snapshot cache across
-// every mutation path: Hit on a new site, Hit on a known site (must NOT
-// invalidate), Merge, FlushTo, Reset, and UnmarshalBinary.
-func TestSnapshotCacheInvalidation(t *testing.T) {
+// TestSignatureFollowsEveryMutation checks Snapshot and Signature after
+// every mutation path: Hit on a new site, Hit on a known site (the site
+// set, and so the signature, stays), Merge, FlushTo, Reset, and
+// UnmarshalBinary.
+func TestSignatureFollowsEveryMutation(t *testing.T) {
 	m := NewMap()
 	m.HitLoc("a")
 	m.HitLoc("b")
 
 	sig1 := m.Signature()
 	if m.Signature() != sig1 {
-		t.Fatal("cached signature unstable")
+		t.Fatal("signature unstable")
 	}
 	snap1 := m.Snapshot()
 
-	// Count bump on a known site keeps the cache and the signature.
+	// Count bump on a known site keeps the signature.
 	m.HitLoc("a")
 	if m.Signature() != sig1 {
 		t.Fatal("count bump changed signature")
 	}
 
-	// New site via Hit must invalidate.
+	// New site via Hit changes it.
 	m.HitLoc("c")
 	if m.Signature() == sig1 {
 		t.Fatal("new site did not change signature")
@@ -81,14 +82,15 @@ func TestSnapshotCacheInvalidation(t *testing.T) {
 		t.Fatal("snapshot missing new site")
 	}
 
-	// Snapshot must return a private copy, not the cache.
+	// Snapshot must return a private copy.
 	snap := m.Snapshot()
 	snap[0] = Site(0xdead)
 	if m.Snapshot()[0] == Site(0xdead) {
-		t.Fatal("Snapshot leaked internal cache slice")
+		t.Fatal("Snapshot leaked an internal slice")
 	}
 
-	// Merge with fresh sites invalidates; merge with no fresh sites doesn't.
+	// Merge with fresh sites changes the signature; merge with no fresh
+	// sites doesn't.
 	other := NewMap()
 	other.HitLoc("d")
 	sigBefore := m.Signature()
@@ -106,7 +108,7 @@ func TestSnapshotCacheInvalidation(t *testing.T) {
 		t.Fatal("no-fresh merge changed signature")
 	}
 
-	// FlushTo with fresh sites invalidates.
+	// FlushTo with fresh sites changes it.
 	l := NewLocal()
 	l.HitLoc("e")
 	l.FlushTo(m)
@@ -120,20 +122,20 @@ func TestSnapshotCacheInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	restored := NewMap()
-	restored.HitLoc("zzz") // stale contents + stale cache
+	restored.HitLoc("zzz") // stale contents
 	restored.Signature()
 	if err := restored.UnmarshalBinary(blob); err != nil {
 		t.Fatal(err)
 	}
 	if restored.Signature() != m.Signature() {
-		t.Fatal("unmarshal did not invalidate cached signature")
+		t.Fatal("unmarshal did not replace the signature")
 	}
 
-	// Reset invalidates back to the empty signature.
+	// Reset goes back to the empty signature.
 	empty := NewMap()
 	m.Reset()
 	if m.Signature() != empty.Signature() {
-		t.Fatal("reset did not invalidate cached signature")
+		t.Fatal("reset did not restore the empty signature")
 	}
 	_ = snap1
 }

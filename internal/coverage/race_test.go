@@ -6,11 +6,11 @@ import (
 	"testing"
 )
 
-// TestConcurrentSignatureMergeFlush hammers the operations that share the
-// map's sorted-snapshot/signature cache from many goroutines. Run with
-// -race: the bug this pins down was Signature and MarshalBinary taking the
-// read lock to consult the cache but mutating it without upgrading, so a
-// concurrent Merge or FlushTo could observe a half-built snapshot.
+// TestConcurrentSignatureMergeFlush hammers the map's sorted readers
+// (Signature, MarshalBinary, Snapshot) and its writers (Merge, FlushTo)
+// from many goroutines. Run with -race: the readers share the read lock,
+// so none of them may write the map, and every writer must see a
+// consistent map.
 func TestConcurrentSignatureMergeFlush(t *testing.T) {
 	m := NewMap()
 	for i := 0; i < 64; i++ {
@@ -21,7 +21,7 @@ func TestConcurrentSignatureMergeFlush(t *testing.T) {
 	const rounds = 200
 	var wg sync.WaitGroup
 
-	// Readers: Signature and MarshalBinary both populate the lazy cache.
+	// Readers: Signature and MarshalBinary both sort the site set.
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func() {
@@ -38,7 +38,7 @@ func TestConcurrentSignatureMergeFlush(t *testing.T) {
 		}()
 	}
 
-	// Writers: Merge invalidates the cache under the write lock.
+	// Writers: Merge inserts sites under the write lock.
 	for g := 0; g < goroutines/2; g++ {
 		wg.Add(1)
 		go func(g int) {

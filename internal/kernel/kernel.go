@@ -7,7 +7,6 @@
 package kernel
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"time"
@@ -154,31 +153,7 @@ type Kernel struct {
 	// Reset takes it back.
 	claims       *verifier.StateTable
 	claimsHolder *LoadedProg
-
-	// sanMemo memoizes sanitizer.Instrument per original-program identity
-	// (verifier.Result.CacheFP/CacheCanon, set only on the cacheable
-	// verify path). Instrument is a pure function of the verified program
-	// and its range checks, and within one kernel the verified program is
-	// a pure function of the original program and the map-address layout —
-	// so the memo is flushed whenever that layout can change (CreateMap,
-	// Reset). Sibling-batch mutation replays near-identical programs
-	// back-to-back; without the memo every verdict-cache hit still paid a
-	// full re-instrumentation.
-	sanMemo map[uint64]*sanEntry
 }
-
-// sanEntry is one memoized instrumentation: the original program's
-// canonical bytes (the collision guard) and the shared, immutable
-// instrumented program and stats.
-type sanEntry struct {
-	canon []byte
-	exec  *isa.Program
-	stats *sanitizer.Stats
-}
-
-// sanMemoCap bounds the memo; overflowing drops it wholesale (the memo is
-// an optimization for tight sibling batches, not a long-term store).
-const sanMemoCap = 4096
 
 // LoadedProg is a successfully verified (and possibly sanitized) program.
 type LoadedProg struct {
@@ -232,7 +207,6 @@ func (k *Kernel) Reset() {
 	k.releaseClaims()
 	k.progs = make(map[int32]*LoadedProg)
 	k.nextFD = 100
-	k.sanMemo = nil
 	k.dispatcherProg = nil
 	k.dispatcherUpdates = 0
 }
@@ -250,41 +224,9 @@ func (k *Kernel) SetProgArraySlot(mapFD int32, idx uint32, progFD int32) error {
 	return m.SetProg(idx, progFD)
 }
 
-// CreateMap creates a map and returns its fd. Creating a map can change
-// the address layout instrumented programs embed, so the sanitizer memo
-// is flushed.
+// CreateMap creates a map and returns its fd.
 func (k *Kernel) CreateMap(spec maps.Spec) (int32, error) {
-	k.sanMemo = nil
 	return k.M.CreateMap(spec)
-}
-
-// sanLookup returns the memoized instrumentation for res's original
-// program, or nil. The canonical-byte compare makes fingerprint
-// collisions a memo miss, never a wrong program.
-func (k *Kernel) sanLookup(res *verifier.Result) *sanEntry {
-	if res.CacheCanon == nil {
-		return nil
-	}
-	e := k.sanMemo[res.CacheFP]
-	if e != nil && bytes.Equal(e.canon, res.CacheCanon) {
-		return e
-	}
-	return nil
-}
-
-// sanStore memoizes one instrumentation outcome keyed by the original
-// program's verdict-cache identity.
-func (k *Kernel) sanStore(res *verifier.Result, exec *isa.Program, stats *sanitizer.Stats) {
-	if res.CacheCanon == nil {
-		return
-	}
-	if len(k.sanMemo) >= sanMemoCap {
-		k.sanMemo = nil
-	}
-	if k.sanMemo == nil {
-		k.sanMemo = make(map[uint64]*sanEntry)
-	}
-	k.sanMemo[res.CacheFP] = &sanEntry{canon: res.CacheCanon, exec: exec, stats: stats}
 }
 
 // MapByFD resolves a map fd.
@@ -339,18 +281,12 @@ func (k *Kernel) LoadProgram(p *isa.Program) (*LoadedProg, error) {
 	}
 	lp := &LoadedProg{Orig: p, Verified: res.Prog, Exec: res.Prog, Res: res}
 	if k.Cfg.Sanitize {
-		if e := k.sanLookup(res); e != nil {
-			lp.Exec = e.exec
-			lp.SanStats = e.stats
-		} else {
-			san, stats, serr := sanitizer.Instrument(res.Prog, res.RangeChecks)
-			if serr != nil {
-				return nil, serr
-			}
-			lp.Exec = san
-			lp.SanStats = stats
-			k.sanStore(res, san, stats)
+		san, stats, serr := sanitizer.Instrument(res.Prog, res.RangeChecks)
+		if serr != nil {
+			return nil, serr
 		}
+		lp.Exec = san
+		lp.SanStats = stats
 	}
 	// Bug #8: the syscall duplicates the rewritten instructions back to
 	// user space with kmemdup, which fails for large programs.
@@ -547,87 +483,41 @@ func (a *Anomaly) String() string {
 }
 
 // Classify maps a runtime fault to an anomaly. Faults that are resource
-// limits rather than bugs return nil.
+// limits rather than bugs return nil. It tests err and then each error
+// err wraps (errors.Unwrap), and the first of a known type decides; the
+// anomaly's Err is err itself. No load or run error is joined (an
+// Unwrap() []error: the kernel, verifier and runtime never build one),
+// so the walk follows single wrapping only.
+// A type switch keeps the walk allocation-free, where each errors.As
+// probe would move its target to the heap.
 func Classify(err error) *Anomaly {
-	if err == nil {
-		return nil
-	}
-	// Fast path: faults arrive as their concrete types (nothing in this
-	// kernel wraps them), and every errors.As probe below costs a heap
-	// cell for its escaping target. The type switch answers the common
-	// cases allocation-free; unknown or wrapped errors fall through to
-	// the errors.As chain, which stays authoritative.
-	switch e := err.(type) {
-	case *verifier.Error, *runtime.StepLimitError, *verifier.TimeoutError, *runtime.WatchdogError:
-		return nil
-	case *kmem.Report:
-		return &Anomaly{Kind: "kasan:" + e.Kind.String(), Indicator: Indicator1, Err: err}
-	case *kmem.FaultError:
-		return &Anomaly{Kind: "kernel-oops", Indicator: Indicator1, Err: err}
-	case *runtime.RangeViolationError:
-		return &Anomaly{Kind: "alu-limit-violation", Indicator: Indicator1, Err: err}
-	case *oracle.Violation:
-		return &Anomaly{Kind: "soundness:" + e.Check, Indicator: IndicatorSoundness, Err: err}
-	case *lockdep.Violation:
-		return &Anomaly{Kind: "lockdep:" + e.Kind.String(), Indicator: Indicator2, Err: err}
-	case *trace.RecursionError:
-		return &Anomaly{Kind: "trace-recursion", Indicator: Indicator2, Err: err}
-	case *helpers.PanicError:
-		return &Anomaly{Kind: "kernel-panic", Indicator: Indicator2, Err: err}
-	case *SyscallBugError:
-		return &Anomaly{Kind: "syscall-warning", Indicator: IndicatorNone, Err: err}
-	case *XDPEnvError:
-		return &Anomaly{Kind: "xdp-env", Indicator: IndicatorNone, Err: err}
-	}
-	var step *runtime.StepLimitError
-	if errors.As(err, &step) {
-		return nil
-	}
-	// Watchdog timeouts are harness resource limits, not kernel bugs: the
-	// campaign counts and skips the program instead of reporting it.
-	var vt *verifier.TimeoutError
-	if errors.As(err, &vt) {
-		return nil
-	}
-	var wd *runtime.WatchdogError
-	if errors.As(err, &wd) {
-		return nil
-	}
-	var rep *kmem.Report
-	if errors.As(err, &rep) {
-		return &Anomaly{Kind: "kasan:" + rep.Kind.String(), Indicator: Indicator1, Err: err}
-	}
-	var oops *kmem.FaultError
-	if errors.As(err, &oops) {
-		return &Anomaly{Kind: "kernel-oops", Indicator: Indicator1, Err: err}
-	}
-	var rv *runtime.RangeViolationError
-	if errors.As(err, &rv) {
-		return &Anomaly{Kind: "alu-limit-violation", Indicator: Indicator1, Err: err}
-	}
-	var sv *oracle.Violation
-	if errors.As(err, &sv) {
-		return &Anomaly{Kind: "soundness:" + sv.Check, Indicator: IndicatorSoundness, Err: err}
-	}
-	var lv *lockdep.Violation
-	if errors.As(err, &lv) {
-		return &Anomaly{Kind: "lockdep:" + lv.Kind.String(), Indicator: Indicator2, Err: err}
-	}
-	var rec *trace.RecursionError
-	if errors.As(err, &rec) {
-		return &Anomaly{Kind: "trace-recursion", Indicator: Indicator2, Err: err}
-	}
-	var pan *helpers.PanicError
-	if errors.As(err, &pan) {
-		return &Anomaly{Kind: "kernel-panic", Indicator: Indicator2, Err: err}
-	}
-	var sb *SyscallBugError
-	if errors.As(err, &sb) {
-		return &Anomaly{Kind: "syscall-warning", Indicator: IndicatorNone, Err: err}
-	}
-	var xe *XDPEnvError
-	if errors.As(err, &xe) {
-		return &Anomaly{Kind: "xdp-env", Indicator: IndicatorNone, Err: err}
+	for e := err; e != nil; e = errors.Unwrap(e) {
+		switch f := e.(type) {
+		case *verifier.Error, *runtime.StepLimitError:
+			return nil
+		// Watchdog timeouts are harness resource limits, not kernel bugs:
+		// the campaign counts and skips the program instead of reporting it.
+		case *verifier.TimeoutError, *runtime.WatchdogError:
+			return nil
+		case *kmem.Report:
+			return &Anomaly{Kind: "kasan:" + f.Kind.String(), Indicator: Indicator1, Err: err}
+		case *kmem.FaultError:
+			return &Anomaly{Kind: "kernel-oops", Indicator: Indicator1, Err: err}
+		case *runtime.RangeViolationError:
+			return &Anomaly{Kind: "alu-limit-violation", Indicator: Indicator1, Err: err}
+		case *oracle.Violation:
+			return &Anomaly{Kind: "soundness:" + f.Check, Indicator: IndicatorSoundness, Err: err}
+		case *lockdep.Violation:
+			return &Anomaly{Kind: "lockdep:" + f.Kind.String(), Indicator: Indicator2, Err: err}
+		case *trace.RecursionError:
+			return &Anomaly{Kind: "trace-recursion", Indicator: Indicator2, Err: err}
+		case *helpers.PanicError:
+			return &Anomaly{Kind: "kernel-panic", Indicator: Indicator2, Err: err}
+		case *SyscallBugError:
+			return &Anomaly{Kind: "syscall-warning", Indicator: IndicatorNone, Err: err}
+		case *XDPEnvError:
+			return &Anomaly{Kind: "xdp-env", Indicator: IndicatorNone, Err: err}
+		}
 	}
 	return nil
 }

@@ -1,15 +1,22 @@
 package kernel
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/btf"
 	"repro/internal/bugs"
 	"repro/internal/helpers"
 	"repro/internal/isa"
 	"repro/internal/kmem"
+	"repro/internal/lockdep"
 	"repro/internal/maps"
+	"repro/internal/oracle"
+	"repro/internal/runtime"
+	"repro/internal/trace"
 	"repro/internal/verifier"
 )
 
@@ -442,6 +449,53 @@ func TestClassifyNonBugs(t *testing.T) {
 	}
 	if a := Classify(&verifier.Error{Msg: "x"}); a != nil {
 		t.Error("verifier rejection classified as anomaly")
+	}
+}
+
+// TestClassifyErrorWalk pins Classify's mapping for every error type it
+// knows, each bare and wrapped once: the same Kind and Indicator either
+// way, with Err the error passed in.
+func TestClassifyErrorWalk(t *testing.T) {
+	lock := &lockdep.Class{Name: "irq_work_lock"}
+	cases := []struct {
+		err  error
+		kind string // "" for faults that are not anomalies
+		ind  Indicator
+	}{
+		{&kmem.Report{Kind: kmem.ReportOOB, Size: 8}, "kasan:slab-out-of-bounds", Indicator1},
+		{&kmem.Report{Kind: kmem.ReportNull, Size: 8}, "kasan:null-ptr-deref", Indicator1},
+		{&kmem.FaultError{Addr: 0x10, Size: 8}, "kernel-oops", Indicator1},
+		{&runtime.RangeViolationError{PC: 3, Value: 9}, "alu-limit-violation", Indicator1},
+		{&oracle.Violation{Check: "scalar-range"}, "soundness:scalar-range", IndicatorSoundness},
+		{&lockdep.Violation{Kind: lockdep.Inversion, Lock: lock, Against: &lockdep.Class{Name: "b"}}, "lockdep:" + lockdep.Inversion.String(), Indicator2},
+		{&lockdep.Violation{Kind: lockdep.Recursion, Lock: lock, Against: lock}, "lockdep:" + lockdep.Recursion.String(), Indicator2},
+		{&trace.RecursionError{Tracepoint: "tp", Depth: 4}, "trace-recursion", Indicator2},
+		{&helpers.PanicError{Reason: "send_signal"}, "kernel-panic", Indicator2},
+		{&SyscallBugError{Size: 8192}, "syscall-warning", IndicatorNone},
+		{&XDPEnvError{}, "xdp-env", IndicatorNone},
+		{&verifier.Error{Msg: "x"}, "", 0},
+		{&verifier.TimeoutError{Timeout: time.Second}, "", 0},
+		{&runtime.StepLimitError{Steps: 1 << 20}, "", 0},
+		{&runtime.WatchdogError{Timeout: time.Second}, "", 0},
+		{errors.New("plain"), "", 0},
+	}
+	for _, tc := range cases {
+		for _, err := range []error{tc.err, fmt.Errorf("wrapped: %w", tc.err)} {
+			a := Classify(err)
+			if tc.kind == "" {
+				if a != nil {
+					t.Errorf("Classify(%v) = %v, want nil", err, a)
+				}
+				continue
+			}
+			if a == nil {
+				t.Errorf("Classify(%v) = nil, want %s", err, tc.kind)
+				continue
+			}
+			if a.Kind != tc.kind || a.Indicator != tc.ind || a.Err != err {
+				t.Errorf("Classify(%v) = {%s %v %v}, want {%s %v %v}", err, a.Kind, a.Indicator, a.Err, tc.kind, tc.ind, err)
+			}
+		}
 	}
 }
 

@@ -18,6 +18,7 @@ const (
 	unitPending = iota
 	unitLeased
 	unitDone
+	unitFailed
 )
 
 func stateName(s int) string {
@@ -28,6 +29,8 @@ func stateName(s int) string {
 		return "leased"
 	case unitDone:
 		return "done"
+	case unitFailed:
+		return "failed"
 	}
 	return fmt.Sprintf("state(%d)", s)
 }
@@ -330,8 +333,8 @@ func (c *Coordinator) Heartbeat(req HeartbeatRequest) HeartbeatResponse {
 	now := c.cfg.Now()
 	c.touchWorkerLocked(req.Worker)
 	c.expireLocked(now)
-	u := c.unitByID(req.UnitID)
-	if u == nil || u.state != unitLeased || u.tok != req.Token || u.worker != req.Worker {
+	u := c.holderLocked(req.UnitID, req.Worker, req.Token)
+	if u == nil {
 		return HeartbeatResponse{Status: StatusFenced}
 	}
 	u.deadline = now.Add(c.cfg.LeaseTTL)
@@ -343,25 +346,29 @@ func (c *Coordinator) Heartbeat(req HeartbeatRequest) HeartbeatResponse {
 // lease token (zombie fencing); a resubmission of an already-accepted
 // result under its completing token is re-acknowledged idempotently so a
 // worker that lost the first acknowledgment on the wire can retry safely.
+// A failure report (req.Failure) passes the same check and marks the
+// unit failed; the manager then fails the campaign.
 func (c *Coordinator) Result(req ResultRequest) (ResultResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.cfg.Now()
 	c.touchWorkerLocked(req.Worker)
 	c.expireLocked(now)
-	u := c.unitByID(req.UnitID)
-	if u == nil {
-		return ResultResponse{Status: StatusFenced}, nil
-	}
-	if u.state == unitDone {
+	if u := c.unitByID(req.UnitID); u != nil && u.state == unitDone && req.Failure == "" {
 		if u.doneTok == req.Token {
 			return ResultResponse{Status: StatusAccepted}, nil
 		}
 		return ResultResponse{Status: StatusFenced}, nil
 	}
-	if u.state != unitLeased || u.tok != req.Token || u.worker != req.Worker {
+	u := c.holderLocked(req.UnitID, req.Worker, req.Token)
+	if u == nil {
 		c.logf("fenced result for unit %d from %s (token %s)", req.UnitID, req.Worker, req.Token)
 		return ResultResponse{Status: StatusFenced}, nil
+	}
+	if req.Failure != "" {
+		u.state = unitFailed
+		c.logf("unit %d failed on %s: %s", u.def.ID, req.Worker, req.Failure)
+		return ResultResponse{Status: StatusAccepted}, nil
 	}
 	st, err := DecodeStats(req.Stats)
 	if err != nil {
@@ -419,6 +426,17 @@ func (c *Coordinator) expireLocked(now time.Time) {
 			c.refunds++
 		}
 	}
+}
+
+// holderLocked returns unit id if worker holds its current lease under
+// tok, and nil otherwise: the check a heartbeat, a result and a failure
+// report each pass.
+func (c *Coordinator) holderLocked(id int, worker string, tok Token) *unitEntry {
+	u := c.unitByID(id)
+	if u == nil || u.state != unitLeased || u.tok != tok || u.worker != worker {
+		return nil
+	}
+	return u
 }
 
 func (c *Coordinator) unitByID(id int) *unitEntry {

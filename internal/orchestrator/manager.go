@@ -442,11 +442,7 @@ func (m *Manager) guard(c *campaign, op string, fn func()) (err error) {
 		c.strikes++
 		m.logf("campaign %s: %s panicked (strike %d/%d): %v", c.id, op, c.strikes, maxStrikes, r)
 		if c.strikes >= maxStrikes {
-			c.state = StateFailed
-			c.failure = fmt.Sprintf("%s panicked %d times, last: %v", op, c.strikes, r)
-			m.logf("campaign %s FAILED (evidence preserved in %s): %s", c.id, m.campaignDir(c.id), c.failure)
-			m.scheduleLocked()
-			m.checkpointLocked()
+			m.failLocked(c, fmt.Sprintf("%s panicked %d times, last: %v", op, c.strikes, r))
 		}
 	}()
 	// The per-campaign fault point: tests arm "orch.campaign.<id>" to
@@ -455,6 +451,20 @@ func (m *Manager) guard(c *campaign, op string, fn func()) (err error) {
 	faultinject.Fire("orch.campaign." + c.id)
 	fn()
 	return nil
+}
+
+// failLocked moves a live campaign to Failed with reason, persisted. Its
+// coordinator stops being routed to, its evidence stays on disk, and
+// every other campaign is untouched.
+func (m *Manager) failLocked(c *campaign, reason string) {
+	if terminal(c.state) {
+		return
+	}
+	c.state = StateFailed
+	c.failure = reason
+	m.logf("campaign %s FAILED (evidence preserved in %s): %s", c.id, m.campaignDir(c.id), c.failure)
+	m.scheduleLocked()
+	m.checkpointLocked()
 }
 
 // Register names a worker. Worker identity is manager-wide; campaigns
@@ -571,7 +581,9 @@ func (m *Manager) Heartbeat(req HeartbeatRequest) HeartbeatResponse {
 }
 
 // Result routes a completed unit to its campaign, then sweeps for
-// lifecycle transitions (this may be the campaign's last unit).
+// lifecycle transitions (this may be the campaign's last unit). A failure
+// report the unit's lease holder sends fails the campaign; a later one
+// finds it terminal and is fenced.
 func (m *Manager) Result(req ResultRequest) (ResultResponse, error) {
 	c := m.liveCampaign(req.Campaign)
 	if c == nil {
@@ -584,6 +596,11 @@ func (m *Manager) Result(req ResultRequest) (ResultResponse, error) {
 	}
 	if rerr != nil {
 		return ResultResponse{}, rerr
+	}
+	if req.Failure != "" && resp.Status == StatusAccepted {
+		m.mu.Lock()
+		m.failLocked(c, fmt.Sprintf("unit %d: %s", req.UnitID, req.Failure))
+		m.mu.Unlock()
 	}
 	m.sweep()
 	return resp, nil

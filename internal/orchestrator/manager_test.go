@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -280,6 +282,114 @@ func TestCampaignFailureIsolation(t *testing.T) {
 	if !checkpoint.Exists(filepath.Join(dir, ids[0], "leases.ckpt")) {
 		t.Error("failed campaign's lease table was not preserved")
 	}
+}
+
+// runWorkers runs n workers against url until each returns, and returns
+// their errors.
+func runWorkers(url string, n int, runner UnitRunner) []error {
+	var wg sync.WaitGroup
+	errs := make([]error, n)
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			w := NewWorker(WorkerConfig{
+				Client: NewClient(url, ""), Runner: runner, HeartbeatEvery: 50 * time.Millisecond,
+			})
+			errs[i] = w.Run()
+		}(i)
+	}
+	wg.Wait()
+	return errs
+}
+
+// failureOf returns the recorded failure reason of campaign id.
+func failureOf(t *testing.T, m *Manager, id string) string {
+	t.Helper()
+	lst, err := m.List(ListRequest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, info := range lst.Campaigns {
+		if info.ID == id {
+			return info.Failure
+		}
+	}
+	t.Fatalf("campaign %s not listed", id)
+	return ""
+}
+
+// TestFailingUnitFailsCampaign: a unit whose campaign fails on every run
+// (here a kernel rebuild that always panics) fails its campaign on the
+// first report. Its workers report the failure and carry on, instead of
+// exiting one by one while the unit's lease expires and is re-leased.
+func TestFailingUnitFailsCampaign(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	faultinject.Arm("core.recycle", faultinject.Fault{Kind: faultinject.Panic})
+	spec := testSpec()
+	spec.Units, spec.TotalIters = 1, 40
+	m, ids := newTestManager(t, ManagerConfig{
+		LeaseTTL: 300 * time.Millisecond, PollInterval: 10 * time.Millisecond,
+	}, spec)
+	srv := httptest.NewServer(NewServer(m))
+	defer srv.Close()
+
+	for i, err := range runWorkers(srv.URL, 2, nil) {
+		if err != nil {
+			t.Errorf("worker %d: %v", i, err)
+		}
+	}
+	if got := m.CampaignState(ids[0]); got != StateFailed {
+		t.Fatalf("campaign = %q, want failed", got)
+	}
+	reason := failureOf(t, m, ids[0])
+	if !strings.HasPrefix(reason, "unit 0: ") || !strings.Contains(reason, `injected panic at "core.recycle"`) {
+		t.Errorf("failure = %q, want unit 0 and the injected panic", reason)
+	}
+	if n := m.Refunds(); n != 0 {
+		t.Errorf("refunds = %d, want 0: the failing unit was re-leased", n)
+	}
+	select {
+	case <-m.Done():
+	default:
+		t.Error("manager not done with its only campaign failed")
+	}
+}
+
+// TestFailingUnitIsolatedToItsCampaign: units of one campaign fail, and
+// the other campaign, leased by the same workers, completes with the
+// results of its single-process reference.
+func TestFailingUnitIsolatedToItsCampaign(t *testing.T) {
+	bad, good := testSpec(), testSpec()
+	good.Seed = 11
+	ref := refRun(t, good)
+	m, ids := newTestManager(t, ManagerConfig{
+		LeaseTTL: 2 * time.Second, PollInterval: 10 * time.Millisecond,
+	}, bad, good)
+	srv := httptest.NewServer(NewServer(m))
+	defer srv.Close()
+
+	runner := func(spec CampaignSpec, u Unit, progress func(int), abort func() bool) (*core.Stats, error) {
+		if spec.Seed == bad.Seed {
+			return nil, fmt.Errorf("%w: broken unit %d", ErrUnitFailed, u.ID)
+		}
+		return SpecRunner(spec, u, progress, abort)
+	}
+	for i, err := range runWorkers(srv.URL, 2, runner) {
+		if err != nil {
+			t.Errorf("worker %d: %v", i, err)
+		}
+	}
+	if got := m.CampaignState(ids[0]); got != StateFailed {
+		t.Errorf("failing campaign = %q, want failed", got)
+	}
+	if reason := failureOf(t, m, ids[0]); !strings.Contains(reason, "broken unit") {
+		t.Errorf("failure = %q, want the runner's error", reason)
+	}
+	if got := m.CampaignState(ids[1]); got != StateCompleted {
+		t.Fatalf("healthy campaign = %q, want completed", got)
+	}
+	assertEquivalent(t, ids[1], m.MergedStats(ids[1]), ref)
 }
 
 // TestStopCompletesWithPartialResults: stopping a running campaign

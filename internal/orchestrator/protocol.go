@@ -69,7 +69,9 @@ type CampaignSpec struct {
 	// SyncEvery bounds a worker's in-unit round length; it controls how
 	// quickly a fenced worker can abandon a unit (graceful stops land on
 	// round edges) and does not affect unit results — a unit is a single
-	// shard, and single-shard rounds exchange nothing.
+	// shard, and single-shard rounds exchange nothing. The merged result
+	// equals a single-process campaign's only when that campaign runs
+	// each shard's quota in one round (see SpecRunner).
 	SyncEvery int
 }
 
@@ -185,8 +187,9 @@ const (
 //   - Draining: no new leases; in-flight units complete or expire.
 //   - Completed: every unit done, or a stopped campaign's in-flight
 //     units resolved (partial results, Stopped=true).
-//   - Failed: the campaign's machinery panicked past its strike budget
-//     or its persisted state restored corrupt. Terminal; its evidence
+//   - Failed: a unit's campaign failed, the campaign's machinery
+//     panicked past its strike budget, or its persisted state restored
+//     corrupt. Terminal; its evidence
 //     (findings store, last checkpoint) is preserved on disk and every
 //     other campaign keeps leasing.
 const (
@@ -270,6 +273,11 @@ type ResultRequest struct {
 	// Stats is the gob-encoded *core.Stats of the unit campaign
 	// (EncodeStats/DecodeStats).
 	Stats []byte
+	// Failure, when non-empty, reports instead that the unit's campaign
+	// failed (SpecRunner's ErrUnitFailed), with the error's text and no
+	// Stats. A re-run would fail the same way, so the manager fails the
+	// campaign.
+	Failure string
 }
 
 // ResultResponse is StatusAccepted or StatusFenced.

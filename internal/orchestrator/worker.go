@@ -17,12 +17,20 @@ import (
 // full quota and another execution reproduces the same statistics.
 var ErrUnitAbandoned = errors.New("orchestrator: unit abandoned")
 
+// ErrUnitFailed wraps an error from a unit's own campaign. Unit execution
+// is deterministic in (seed, quota), so every re-run of the unit would
+// fail the same way: the worker reports the failure, which fails the
+// campaign, and leases on.
+var ErrUnitFailed = errors.New("orchestrator: unit failed")
+
 // UnitRunner executes one work unit and returns its statistics. The
 // runner must call progress with the cumulative executed-iteration count
 // at round edges (heartbeats report it) and poll abort between rounds: a
 // true return means the unit's results are no longer wanted and the
-// runner should stop with ErrUnitAbandoned. Any other error models the
-// worker dying mid-unit — nothing is submitted and the lease expires.
+// runner should stop with ErrUnitAbandoned. An error wrapping
+// ErrUnitFailed is reported to the coordinator, which fails the campaign.
+// Any other error models the worker dying mid-unit — nothing is
+// submitted and the lease expires.
 type UnitRunner func(spec CampaignSpec, u Unit, progress func(int), abort func() bool) (*core.Stats, error)
 
 // WorkerConfig configures a Worker.
@@ -71,9 +79,9 @@ func (w *Worker) Stop() { w.stopping.Store(true) }
 
 // Run is the worker main loop. It returns nil when the coordinator
 // reports the campaign complete, and an error if the worker "dies":
-// an unreachable coordinator after retries, a failed unit execution, or
-// an injected fault. A fenced unit is abandoned, not fatal — the worker
-// just leases again.
+// an unreachable coordinator after retries or an injected fault. A
+// fenced unit is abandoned and a failed unit reported, neither fatal —
+// the worker just leases again.
 func (w *Worker) Run() error {
 	reg, err := w.cfg.Client.Register(RegisterRequest{Worker: w.cfg.Name})
 	if err != nil {
@@ -166,6 +174,17 @@ func (w *Worker) executeUnit(lr LeaseResponse) error {
 	)
 	close(hbStop)
 	hbWG.Wait()
+	if errors.Is(runErr, ErrUnitFailed) {
+		rr, err := w.cfg.Client.Result(ResultRequest{
+			Worker: w.name, Campaign: lr.Campaign, UnitID: unit.ID,
+			Token: tok, Failure: runErr.Error(),
+		})
+		if err != nil {
+			return fmt.Errorf("orchestrator: worker %s report unit %d failure: %w", w.name, unit.ID, err)
+		}
+		w.logf("unit %d failed, reported (%s): %v", unit.ID, rr.Status, runErr)
+		return nil
+	}
 	if runErr != nil {
 		return runErr
 	}
@@ -225,9 +244,14 @@ func (w *Worker) logf(format string, args ...any) {
 // shard of the spec's campaign — a Workers=1 core.ParallelCampaign
 // seeded with the unit seed — in rounds of SyncEvery iterations.
 // Because a campaign's trajectory depends only on (seed, cumulative
-// iterations), and single-shard rounds exchange nothing, the unit's
-// statistics are bit-identical to shard unit.ID of the equivalent
-// single-process campaign; that is the whole basis of quota refunding.
+// iterations), and single-shard rounds exchange nothing, a re-run of
+// the unit reproduces its statistics exactly; that is the whole basis of
+// quota refunding. They equal shard unit.ID of a single-process campaign
+// only when that campaign's shards exchange nothing either, that is,
+// when its SyncEvery is at least the shard quota: a bvf -workers N run
+// at its default SyncEvery exchanges corpus entries at every round edge
+// and diverges (ROADMAP item 2(b) deletes exchange). An error from the
+// unit's campaign is returned wrapping ErrUnitFailed.
 func SpecRunner(spec CampaignSpec, u Unit, progress func(int), abort func() bool) (*core.Stats, error) {
 	cc, err := spec.CampaignConfig()
 	if err != nil {
@@ -252,7 +276,7 @@ func SpecRunner(spec CampaignSpec, u Unit, progress func(int), abort func() bool
 			n = chunk
 		}
 		if _, err := c.Run(n); err != nil {
-			return nil, fmt.Errorf("orchestrator: unit %d: %w", u.ID, err)
+			return nil, fmt.Errorf("%w: %w", ErrUnitFailed, err)
 		}
 		executed += n
 		progress(executed)

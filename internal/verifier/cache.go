@@ -89,7 +89,7 @@ type CachedVerdict struct {
 }
 
 // EstimateBytes approximates the entry's memory footprint for the cache
-// byte counters (Stats.CacheInsertedBytes).
+// byte counter (vcache.Counters.InsertedBytes).
 func (v *CachedVerdict) EstimateBytes() int {
 	n := 96 + len(v.Prog) + len(v.Msg)
 	n += len(v.RangeChecks) * 40

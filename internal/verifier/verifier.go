@@ -192,11 +192,12 @@ type Result struct {
 	States *StateTable
 	// Log is the verifier log (LogLevel > 0).
 	Log string
-	// CacheFP/CacheCanon identify the *original* program in verdict-cache
-	// terms (ProgramFingerprint / CanonicalProgramBytes), set only on the
-	// cacheable path. Downstream per-kernel memoizations (the kernel's
-	// sanitizer memo) key on them instead of recomputing the identity.
-	CacheFP    uint64
+	// Deprecated: CacheFP is never set. It keyed the kernel's sanitizer
+	// memo, which is gone; it stays only because perfbench/mirror.go's
+	// copy of that memo still reads it.
+	CacheFP uint64
+	// Deprecated: CacheCanon is never set, for the same reason as
+	// CacheFP.
 	CacheCanon []byte
 }
 
@@ -430,11 +431,6 @@ func Verify(prog *isa.Program, cfg *Config) (*Result, error) {
 	fp := ProgramFingerprint(prog)
 	if v := cfg.Cache.Lookup(fp, prog); v != nil {
 		if res, err, ok := v.materialize(prog, cfg); ok {
-			if res != nil {
-				// Share the entry's stored canonical bytes: the hit
-				// path never materializes them itself.
-				res.CacheFP, res.CacheCanon = fp, v.Prog
-			}
 			addCacheNanos(cfg, time.Since(t0))
 			return res, err
 		}
@@ -443,12 +439,8 @@ func Verify(prog *isa.Program, cfg *Config) (*Result, error) {
 	var capture []coverage.SiteCount
 	res, err := verify(prog, cfg, &capture)
 	t1 := time.Now()
-	canon := CanonicalProgramBytes(prog)
-	if v := newCachedVerdict(canon, res, err, capture); v != nil {
+	if v := newCachedVerdict(CanonicalProgramBytes(prog), res, err, capture); v != nil {
 		cfg.Cache.Insert(fp, v)
-	}
-	if res != nil {
-		res.CacheFP, res.CacheCanon = fp, canon
 	}
 	addCacheNanos(cfg, cacheSpent+time.Since(t1))
 	return res, err

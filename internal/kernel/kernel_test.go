@@ -499,6 +499,57 @@ func TestClassifyErrorWalk(t *testing.T) {
 	}
 }
 
+// TestTriageSignatures pins the bug each runtime signature attributes
+// to, with the error bare and wrapped once: Bug #6 from a kernel panic,
+// #10 from an irq_work_lock inversion, #3 from a range violation and from
+// an oracle violation in a program with a kfunc call, #7 from the
+// dispatcher's null dereference and #9 from any KASAN report, and 0 where
+// the signature's condition does not hold. Without a program Triage
+// re-verifies nothing, and it then allocates nothing.
+func TestTriageSignatures(t *testing.T) {
+	irq := &lockdep.Class{Name: "irq_work_lock"}
+	kfunc := &isa.Program{Type: isa.ProgTypeSocketFilter, GPLCompatible: true, Insns: []isa.Instruction{
+		isa.CallKfunc(int32(btf.KfuncRcuReadLock)),
+		isa.Mov64Imm(isa.R0, 0),
+		isa.Exit(),
+	}}
+	cases := []struct {
+		name  string
+		armed bugs.Set
+		err   error
+		prog  *isa.Program
+		want  bugs.ID
+	}{
+		{"#6 panic", bugs.Of(bugs.Bug6SendSignal), &helpers.PanicError{Reason: "send_signal"}, nil, bugs.Bug6SendSignal},
+		{"#6 unarmed", bugs.None(), &helpers.PanicError{Reason: "send_signal"}, nil, 0},
+		{"#10 inversion", bugs.None(), &lockdep.Violation{Kind: lockdep.Inversion, Lock: &lockdep.Class{Name: "a"}, Against: irq}, nil, bugs.Bug10IrqWork},
+		{"#10 other lock", bugs.Of(bugs.Bug10IrqWork), &lockdep.Violation{Kind: lockdep.Inversion, Lock: &lockdep.Class{Name: "a"}, Against: &lockdep.Class{Name: "b"}}, nil, 0},
+		{"#10 recursion", bugs.Of(bugs.Bug10IrqWork), &lockdep.Violation{Kind: lockdep.Recursion, Lock: irq, Against: irq}, nil, 0},
+		{"#3 range violation", bugs.Of(bugs.Bug3KfuncBacktrack), &runtime.RangeViolationError{PC: 1, Value: 9}, kfunc, bugs.Bug3KfuncBacktrack},
+		{"#3 oracle violation", bugs.Of(bugs.Bug3KfuncBacktrack), &oracle.Violation{Insn: 1, Reg: 6, Check: "tnum"}, kfunc, bugs.Bug3KfuncBacktrack},
+		{"#3 without program", bugs.Of(bugs.Bug3KfuncBacktrack), &runtime.RangeViolationError{PC: 1, Value: 9}, nil, 0},
+		{"#7 dispatcher", bugs.None(), &kmem.Report{Kind: kmem.ReportNull, Addr: 16, Size: 8, Tag: "bpf_dispatcher"}, nil, bugs.Bug7Dispatcher},
+		{"#9 report", bugs.Of(bugs.Bug9BucketIter), &kmem.Report{Kind: kmem.ReportOOB, Size: 8}, nil, bugs.Bug9BucketIter},
+		{"#7 before #9", bugs.Of(bugs.Bug9BucketIter), &kmem.Report{Kind: kmem.ReportNull, Size: 8, Tag: "bpf_dispatcher"}, nil, bugs.Bug7Dispatcher},
+		{"#9 unarmed", bugs.None(), &kmem.Report{Kind: kmem.ReportOOB, Size: 8}, nil, 0},
+	}
+	for _, tc := range cases {
+		k := New(Config{Version: BPFNext, Bugs: tc.armed})
+		for _, err := range []error{tc.err, fmt.Errorf("wrapped: %w", tc.err)} {
+			a := Classify(err)
+			if a == nil {
+				t.Fatalf("%s: Classify(%v) = nil", tc.name, err)
+			}
+			if got := k.Triage(a, tc.prog); got != tc.want {
+				t.Errorf("%s: Triage(%v) = %v, want %v", tc.name, err, got, tc.want)
+			}
+			if allocs := testing.AllocsPerRun(20, func() { k.Triage(a, nil) }); allocs != 0 {
+				t.Errorf("%s: Triage(%v, nil) allocates %.1f times, want 0", tc.name, err, allocs)
+			}
+		}
+	}
+}
+
 func TestVersionDefaultBugSets(t *testing.T) {
 	if BPFNext.DefaultBugs().Has(bugs.CVE2022_23222) {
 		t.Error("bpf-next still has the CVE")

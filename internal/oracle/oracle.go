@@ -15,6 +15,7 @@ package oracle
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/isa"
 	"repro/internal/runtime"
@@ -61,19 +62,20 @@ type Result struct {
 // Run executes x with the soundness hook installed, checking every live
 // claim in t before each instruction. The table must come from verifying
 // the same program x executes (claim indices are instruction indices;
-// the verifier's fixup preserves them).
+// the verifier's fixup preserves them). The hook visits only the row's
+// checkable claims, in ascending register order, and reads them in place.
 func Run(x *runtime.Exec, t *verifier.StateTable) *Result {
 	res := &Result{}
 	x.SetInsnHook(func(pc int, regs *[isa.NumReg]uint64) error {
 		if pc >= t.NumInsns() {
 			return nil
 		}
-		for r := 0; r < isa.NumReg; r++ {
-			c := t.Claim(pc, r)
+		live, row := t.LiveRow(pc)
+		for ; live != 0; live &= live - 1 {
+			r := bits.TrailingZeros16(live)
+			c := &row[r]
 			var v *Violation
 			switch c.Kind {
-			case verifier.ClaimNone, verifier.ClaimSkip:
-				continue
 			case verifier.ClaimScalar:
 				v = checkScalar(pc, r, regs[r], c)
 			case verifier.ClaimStackPtr:
@@ -82,8 +84,6 @@ func Run(x *runtime.Exec, t *verifier.StateTable) *Result {
 				v = checkPtr(pc, r, regs[r], x.CtxAddr(), c)
 			case verifier.ClaimPktPtr:
 				v = checkPtr(pc, r, regs[r], x.PacketAddr(), c)
-			default:
-				continue
 			}
 			res.Checks++
 			if v != nil {
@@ -99,7 +99,7 @@ func Run(x *runtime.Exec, t *verifier.StateTable) *Result {
 }
 
 // checkScalar asserts the nine scalar invariants in fixed order.
-func checkScalar(pc, r int, v uint64, c verifier.RegClaim) *Violation {
+func checkScalar(pc, r int, v uint64, c *verifier.RegClaim) *Violation {
 	bad := func(check string) *Violation {
 		return &Violation{Insn: pc, Reg: r, Check: check, Value: v}
 	}
@@ -130,7 +130,7 @@ func checkScalar(pc, r int, v uint64, c verifier.RegClaim) *Violation {
 // the claimed signed bounds and tnum. A zero base means the execution
 // has no such object (e.g. no packet was built); the claim is vacuous
 // then and the check passes.
-func checkPtr(pc, r int, v, base uint64, c verifier.RegClaim) *Violation {
+func checkPtr(pc, r int, v, base uint64, c *verifier.RegClaim) *Violation {
 	if base == 0 {
 		return nil
 	}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/kernel"
 	"repro/internal/oracle"
+	"repro/internal/runtime"
 )
 
 // triggerProgram is the minimal bug-3 soundness witness: a narrow ctx
@@ -117,4 +118,47 @@ func TestViolationErrorFormat(t *testing.T) {
 	if got := v.Error(); got != want {
 		t.Errorf("Error() = %q, want %q", got, want)
 	}
+}
+
+// loopProgram sums a ctx-derived byte over a 32-pass bounded loop: every
+// executed instruction carries several checkable scalar claims, so one
+// replay checks a few hundred.
+func loopProgram() *isa.Program {
+	return &isa.Program{
+		Type: isa.ProgTypeSocketFilter, GPLCompatible: true, Name: "oracle_loop",
+		Insns: []isa.Instruction{
+			isa.LoadMem(isa.SizeW, isa.R6, isa.R1, 0),
+			isa.Alu64Imm(isa.ALUAnd, isa.R6, 0xff),
+			isa.Mov64Imm(isa.R7, 0),
+			isa.Mov64Imm(isa.R8, 0),
+			isa.Alu64Reg(isa.ALUAdd, isa.R8, isa.R6),
+			isa.Alu64Imm(isa.ALUAnd, isa.R8, 0xffff),
+			isa.Alu64Imm(isa.ALUAdd, isa.R7, 1),
+			isa.JumpImm(isa.JLT, isa.R7, 32, -4),
+			isa.Mov64Reg(isa.R0, isa.R8),
+			isa.Exit(),
+		},
+	}
+}
+
+// BenchmarkOracleRun is one hooked replay of an accepted program, the
+// work an oracle kernel adds to every clean run. It reports the claims
+// each replay checks.
+func BenchmarkOracleRun(b *testing.B) {
+	k := kernel.New(kernel.Config{
+		Version: kernel.BPFNext, Bugs: bugs.None(), Sanitize: true, Oracle: true,
+	})
+	lp, err := k.LoadProgram(loopProgram())
+	if err != nil {
+		b.Fatalf("LoadProgram: %v", err)
+	}
+	var res *oracle.Result
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res = oracle.Run(runtime.NewExec(k.M, lp.Verified), lp.Res.States)
+		if res.Outcome.Err != nil {
+			b.Fatalf("replay: %v", res.Outcome.Err)
+		}
+	}
+	b.ReportMetric(float64(res.Checks), "checks/op")
 }

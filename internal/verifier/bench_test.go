@@ -1,11 +1,13 @@
 package verifier
 
 import (
+	"os"
 	"runtime"
 	"sort"
 	"testing"
 	"unsafe"
 
+	"repro/internal/asm"
 	"repro/internal/btf"
 	"repro/internal/bugs"
 	"repro/internal/coverage"
@@ -216,5 +218,58 @@ func BenchmarkVerifyReject(b *testing.B) {
 		if _, err := Verify(prog, cfg); err == nil {
 			b.Fatal("accepted")
 		}
+	}
+}
+
+// pruneSaturated assembles testdata/prune_saturated.s, a fuzzed
+// tracepoint program whose prune points all keep maxStatesPerInsn states,
+// and returns it with the configuration that accepts it: Bug #1 armed,
+// and map fd 6 the hash map it looks up, the fd a campaign's resource
+// pool gives that map.
+func pruneSaturated(tb testing.TB) (*isa.Program, *Config) {
+	tb.Helper()
+	src, err := os.ReadFile("testdata/prune_saturated.s")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	prog, err := asm.Assemble(string(src))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	prog.Type, prog.GPLCompatible = isa.ProgTypeTracepoint, true
+	k := newTestKernel(tb)
+	k.addMap(tb, 6, maps.Spec{Type: maps.Hash, KeySize: 4, ValueSize: 8, MaxEntries: 8, Name: "hash8"})
+	return prog, k.config(bugs.Of(bugs.Bug1NullnessProp))
+}
+
+// BenchmarkVerifyPruneSaturated verifies the program family that makes a
+// fuzzing campaign at seed 9000034 slow: 54 instructions that simulate
+// about 28k. It reports both, so a change in work shows apart from a
+// change in speed.
+func BenchmarkVerifyPruneSaturated(b *testing.B) {
+	prog, cfg := pruneSaturated(b)
+	var res *Result
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if res, err = Verify(prog, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(res.InsnProcessed), "insns/op")
+	b.ReportMetric(float64(res.TotalStates), "states/op")
+}
+
+// TestPruneSaturatedWork pins the work the prune-saturated program costs:
+// every verification of it simulates the same instructions over the same
+// states, so a change to pruning or to the state lists shows here first.
+func TestPruneSaturatedWork(t *testing.T) {
+	prog, cfg := pruneSaturated(t)
+	res, err := Verify(prog, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.InsnProcessed != 27838 || res.TotalStates != 4169 {
+		t.Errorf("InsnProcessed %d, TotalStates %d; want 27838, 4169", res.InsnProcessed, res.TotalStates)
 	}
 }

@@ -89,10 +89,13 @@ func loadView(res *Result, err error) string {
 // with a state table sized to the original instruction stream. Recording
 // claims must never change a load: with RecordStates off the verdict, the
 // verified program, its range checks and the instructions processed are
-// the same. Recording into a table that held another program must also
-// give the verdict and claims a fresh table gets: once after a
-// two-instruction program (the table grows) and once after dirtyProgram
-// (rows to clear, and a pseudo-call and poisoned registers to forget).
+// the same. The table must hold, claim for claim, what the reference
+// recorder (refStateTable) joins from the same steps, accepted or
+// rejected, and its live masks must agree with its claims. Recording into
+// a table that held another program must also give the verdict and
+// claims a fresh table gets: once after a two-instruction program (the
+// table grows) and once after dirtyProgram (stale rows that must read as
+// ClaimNone, and a pseudo-call and poisoned registers to forget).
 func FuzzVerifyRecordStatesNoPanic(f *testing.F) {
 	f.Add(uint8(1), encodeProgram(hotPathProgram()))
 	f.Add(uint8(1), encodeProgram(rejectProgram()))
@@ -134,11 +137,20 @@ func FuzzVerifyRecordStatesNoPanic(f *testing.F) {
 			}
 		}
 
-		fresh := new(StateTable)
+		ref := new(refStateTable)
+		fresh := &StateTable{shadow: ref}
 		cfg.States = fresh
 		_, want := Verify(prog, cfg)
 		if fresh.NumInsns() == 0 {
 			return // rejected by the structural checks, before recording
+		}
+		if !errors.As(want, &te) {
+			if d := claimsDiff(fresh, ref); d != "" {
+				t.Fatalf("against the reference recorder: %s", d)
+			}
+		}
+		if d := liveDiff(fresh); d != "" {
+			t.Fatal(d)
 		}
 		for _, prev := range dirty {
 			tab := new(StateTable)
@@ -152,6 +164,9 @@ func FuzzVerifyRecordStatesNoPanic(f *testing.F) {
 				t.Fatalf("after %d insns: verdict %v, fresh table %v", len(prev.Insns), got, want)
 			}
 			if d := claimsDiff(tab, fresh); d != "" {
+				t.Fatalf("after %d insns: %s", len(prev.Insns), d)
+			}
+			if d := liveDiff(tab); d != "" {
 				t.Fatalf("after %d insns: %s", len(prev.Insns), d)
 			}
 		}

@@ -81,11 +81,23 @@ func (c RegClaim) String() string {
 	}
 }
 
-// StateTable is the per-program claim table: one RegClaim per
-// (instruction, register), flat in one allocation. The zero value is an
-// empty table that Config.States can record into.
+// StateTable is the per-program claim table: row i holds the joined
+// claims about every register at instruction i, in three flat planes.
+//
+//   - kinds holds each claim's ClaimKind, isa.NumReg bytes a row, so
+//     reset clears only this plane and the masks, and record tells a
+//     register settled at ClaimSkip without touching its claim.
+//   - claims holds one RegClaim per (instruction, register). Only the
+//     entries of checkable claims (ClaimScalar and the pointer kinds) are
+//     kept current; the others are stale and never read.
+//   - live is one mask a row, bit r set exactly when register r's claim
+//     is checkable, so the oracle's hook visits only those claims.
+//
+// The zero value is an empty table that Config.States can record into.
 type StateTable struct {
+	kinds   []ClaimKind
 	claims  []RegClaim
+	live    []uint16
 	numInsn int
 	// allowStack gates stack-pointer claims. With bpf-to-bpf calls in the
 	// program, a stack pointer saved across a call can point into an
@@ -101,6 +113,17 @@ type StateTable struct {
 	// tell which paths flow the imprecise value where, and a coarse skip
 	// only costs oracle coverage, never a false violation.
 	poisoned uint16
+	// shadow, when non-nil, is handed every reset and record before the
+	// table applies it. Verify never sets it; the differential test sets
+	// it to the reference recorder to compare the two claim for claim.
+	shadow recorder
+}
+
+// recorder is what Verify drives while it records claims: one reset for
+// the program, then one record per simulated instruction.
+type recorder interface {
+	reset(prog *isa.Program)
+	record(insn int, f *FuncState)
 }
 
 // NewStateTable sizes a claim table for prog.
@@ -111,17 +134,24 @@ func NewStateTable(prog *isa.Program) *StateTable {
 }
 
 // reset empties t for prog: every claim is ClaimNone, and allowStack and
-// poisoned describe prog alone. The buffer is reused, and grows only when
-// prog is longer than every program t held before.
+// poisoned describe prog alone. It clears the kinds and the live masks,
+// not the claims they make stale, and grows the planes only when prog is
+// longer than every program t held before, to exactly prog's length.
 func (t *StateTable) reset(prog *isa.Program) {
-	n := len(prog.Insns) * isa.NumReg
-	if cap(t.claims) < n {
-		t.claims = make([]RegClaim, n)
-	} else {
-		t.claims = t.claims[:n]
-		clear(t.claims)
+	if t.shadow != nil {
+		t.shadow.reset(prog)
 	}
-	t.numInsn = len(prog.Insns)
+	n := len(prog.Insns)
+	if cap(t.live) < n {
+		t.kinds = make([]ClaimKind, n*isa.NumReg)
+		t.claims = make([]RegClaim, n*isa.NumReg)
+		t.live = make([]uint16, n)
+	} else {
+		t.kinds, t.claims, t.live = t.kinds[:n*isa.NumReg], t.claims[:n*isa.NumReg], t.live[:n]
+		clear(t.kinds)
+		clear(t.live)
+	}
+	t.numInsn = n
 	t.allowStack = true
 	t.poisoned = 0
 	for _, ins := range prog.Insns {
@@ -172,66 +202,105 @@ func impreciseALU(ins isa.Instruction) bool {
 func (t *StateTable) NumInsns() int { return t.numInsn }
 
 // Claim returns the joined claim for register reg at instruction insn.
+// A claim that is not checkable carries only its kind.
 func (t *StateTable) Claim(insn, reg int) RegClaim {
-	return t.claims[insn*isa.NumReg+reg]
+	i := insn*isa.NumReg + reg
+	if k := t.kinds[i]; k < ClaimScalar {
+		return RegClaim{Kind: k}
+	}
+	return t.claims[i]
+}
+
+// LiveRow returns instruction insn's checkable claims: live has bit r set
+// exactly when Claim(insn, r).Kind is ClaimScalar or a pointer kind, and
+// then claims[r] is that claim. An entry whose bit is clear is stale. The
+// row belongs to the table: the next verification into it overwrites it.
+func (t *StateTable) LiveRow(insn int) (live uint16, claims *[isa.NumReg]RegClaim) {
+	base := insn * isa.NumReg
+	return t.live[insn], (*[isa.NumReg]RegClaim)(t.claims[base : base+isa.NumReg])
 }
 
 // record joins the current frame's registers into the claims at insn.
 // Claims copy values out of f — f belongs to a pooled State that will be
-// recycled — so the table never aliases exploration state.
+// recycled — so the table never aliases exploration state. A register
+// whose claim is already ClaimSkip is not looked at: no join leaves
+// ClaimSkip.
 func (t *StateTable) record(insn int, f *FuncState) {
-	base := insn * isa.NumReg
-	for r := 0; r < isa.NumReg; r++ {
-		if t.poisoned&(1<<r) != 0 {
-			t.claims[base+r] = RegClaim{Kind: ClaimSkip}
-			continue
-		}
-		joinClaim(&t.claims[base+r], deriveClaim(&f.Regs[r], t.allowStack))
+	if t.shadow != nil {
+		t.shadow.record(insn, f)
 	}
+	base := insn * isa.NumReg
+	kinds := (*[isa.NumReg]ClaimKind)(t.kinds[base : base+isa.NumReg])
+	live := t.live[insn]
+	for r, k := range kinds {
+		switch {
+		case k == ClaimSkip:
+			continue
+		case t.poisoned&(1<<r) != 0:
+			k = ClaimSkip
+		default:
+			k = joinReg(&t.claims[base+r], k, &f.Regs[r], t.allowStack)
+		}
+		kinds[r] = k
+		if k == ClaimSkip {
+			live &^= 1 << r
+		} else {
+			live |= 1 << r
+		}
+	}
+	t.live[insn] = live
 }
 
-// deriveClaim converts one register state into a checkable claim.
-func deriveClaim(r *RegState, allowStack bool) RegClaim {
+// joinReg widens the claim c, of kind k, to cover register r, and returns
+// the claim's new kind. A ClaimNone claim becomes r's own claim; a claim
+// of r's kind widens in place to cover it. An uncheckable r, or one whose
+// kind differs from k (paths that disagree), makes the claim ClaimSkip,
+// which costs oracle coverage, never soundness. k is never ClaimSkip.
+//
+// For a scalar the claim is r's tnum and ranges, with 32-bit subranges
+// derived from them; for a pointer it is the byte delta from the base
+// object, the fixed offset folded in (see RegClaim).
+func joinReg(c *RegClaim, k ClaimKind, r *RegState, allowStack bool) ClaimKind {
 	switch {
 	case r.Type == Scalar:
-		c := RegClaim{
-			Kind: ClaimScalar,
-			Var:  r.VarOff,
-			SMin: r.SMin, SMax: r.SMax,
-			UMin: r.UMin, UMax: r.UMax,
+		if k != ClaimNone && k != ClaimScalar {
+			return ClaimSkip
 		}
 		// 32-bit subranges: the subregister's tnum bounds, tightened by
 		// the 64-bit unsigned range when that range fits in 32 bits (a
 		// 64-bit bound says nothing about the low half otherwise).
 		sub := r.VarOff.Subreg()
-		c.U32Min, c.U32Max = uint32(sub.Min()), uint32(sub.Max())
+		u32Min, u32Max := uint32(sub.Min()), uint32(sub.Max())
 		if r.UMax <= math.MaxUint32 {
-			if u := uint32(r.UMin); u > c.U32Min {
-				c.U32Min = u
-			}
-			if u := uint32(r.UMax); u < c.U32Max {
-				c.U32Max = u
-			}
+			u32Min = max(u32Min, uint32(r.UMin))
+			u32Max = min(u32Max, uint32(r.UMax))
 		}
 		// Signed 32-bit from unsigned 32-bit, only when the unsigned
 		// interval does not straddle the sign boundary (int32 is monotone
 		// on each half).
-		if (c.U32Min >= 0x80000000) == (c.U32Max >= 0x80000000) {
-			c.S32Min, c.S32Max = int32(c.U32Min), int32(c.U32Max)
-		} else {
-			c.S32Min, c.S32Max = math.MinInt32, math.MaxInt32
+		s32Min, s32Max := int32(math.MinInt32), int32(math.MaxInt32)
+		if (u32Min >= 0x80000000) == (u32Max >= 0x80000000) {
+			s32Min, s32Max = int32(u32Min), int32(u32Max)
 		}
-		return c
+		if k == ClaimNone {
+			*c = RegClaim{
+				Kind: ClaimScalar,
+				Var:  r.VarOff,
+				SMin: r.SMin, SMax: r.SMax,
+				UMin: r.UMin, UMax: r.UMax,
+				U32Min: u32Min, U32Max: u32Max,
+				S32Min: s32Min, S32Max: s32Max,
+			}
+			return ClaimScalar
+		}
+		c.Var = tnum.Union(c.Var, r.VarOff)
+		c.SMin, c.SMax = min(c.SMin, r.SMin), max(c.SMax, r.SMax)
+		c.UMin, c.UMax = min(c.UMin, r.UMin), max(c.UMax, r.UMax)
+		c.U32Min, c.U32Max = min(c.U32Min, u32Min), max(c.U32Max, u32Max)
+		c.S32Min, c.S32Max = min(c.S32Min, s32Min), max(c.S32Max, s32Max)
+		return ClaimScalar
 
 	case r.Type == PtrToStack && allowStack, r.Type == PtrToCtx, r.Type == PtrToPacket:
-		if r.MaybeNull {
-			return RegClaim{Kind: ClaimSkip}
-		}
-		lo, ok1 := addInt64(int64(r.Off), r.SMin)
-		hi, ok2 := addInt64(int64(r.Off), r.SMax)
-		if !ok1 || !ok2 {
-			return RegClaim{Kind: ClaimSkip}
-		}
 		kind := ClaimCtxPtr
 		switch r.Type {
 		case PtrToStack:
@@ -239,55 +308,25 @@ func deriveClaim(r *RegState, allowStack bool) RegClaim {
 		case PtrToPacket:
 			kind = ClaimPktPtr
 		}
-		return RegClaim{
-			Kind: kind,
-			Var:  tnum.Add(r.VarOff, tnum.Const(uint64(int64(r.Off)))),
-			SMin: lo, SMax: hi,
+		if r.MaybeNull || (k != ClaimNone && k != kind) {
+			return ClaimSkip
 		}
-
-	default:
-		// NotInit, nullable or unmodeled pointer kinds: unchecked.
-		return RegClaim{Kind: ClaimSkip}
+		lo, ok1 := addInt64(int64(r.Off), r.SMin)
+		hi, ok2 := addInt64(int64(r.Off), r.SMax)
+		if !ok1 || !ok2 {
+			return ClaimSkip
+		}
+		v := tnum.Add(r.VarOff, tnum.Const(uint64(int64(r.Off))))
+		if k == ClaimNone {
+			*c = RegClaim{Kind: kind, Var: v, SMin: lo, SMax: hi}
+			return kind
+		}
+		c.Var = tnum.Union(c.Var, v)
+		c.SMin, c.SMax = min(c.SMin, lo), max(c.SMax, hi)
+		return kind
 	}
-}
-
-// joinClaim widens dst to cover c. Skip is sticky — one uncheckable path
-// poisons the claim, which only costs oracle coverage, never soundness.
-func joinClaim(dst *RegClaim, c RegClaim) {
-	switch {
-	case dst.Kind == ClaimSkip || c.Kind == ClaimNone:
-		return
-	case c.Kind == ClaimSkip, dst.Kind != ClaimNone && dst.Kind != c.Kind:
-		*dst = RegClaim{Kind: ClaimSkip}
-	case dst.Kind == ClaimNone:
-		*dst = c
-	default:
-		dst.Var = tnum.Union(dst.Var, c.Var)
-		if c.SMin < dst.SMin {
-			dst.SMin = c.SMin
-		}
-		if c.SMax > dst.SMax {
-			dst.SMax = c.SMax
-		}
-		if c.UMin < dst.UMin {
-			dst.UMin = c.UMin
-		}
-		if c.UMax > dst.UMax {
-			dst.UMax = c.UMax
-		}
-		if c.U32Min < dst.U32Min {
-			dst.U32Min = c.U32Min
-		}
-		if c.U32Max > dst.U32Max {
-			dst.U32Max = c.U32Max
-		}
-		if c.S32Min < dst.S32Min {
-			dst.S32Min = c.S32Min
-		}
-		if c.S32Max > dst.S32Max {
-			dst.S32Max = c.S32Max
-		}
-	}
+	// NotInit, nullable or unmodeled pointer kinds: unchecked.
+	return ClaimSkip
 }
 
 // addInt64 adds without overflow; ok is false when the sum wraps.

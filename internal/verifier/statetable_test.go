@@ -144,17 +144,51 @@ func claimPrograms() []*isa.Program {
 	}
 }
 
+// claimSource is a claim table claimsDiff can compare: StateTable, or
+// the reference recorder.
+type claimSource interface {
+	NumInsns() int
+	Claim(insn, reg int) RegClaim
+	programShape() (allowStack bool, poisoned uint16)
+}
+
+func (t *StateTable) programShape() (allowStack bool, poisoned uint16) {
+	return t.allowStack, t.poisoned
+}
+
 // claimsDiff describes the first difference between two claim tables, or
 // returns "" when they cover the same program with the same claims.
-func claimsDiff(got, want *StateTable) string {
-	if got.NumInsns() != want.NumInsns() || got.allowStack != want.allowStack || got.poisoned != want.poisoned {
+func claimsDiff(got, want claimSource) string {
+	gs, gp := got.programShape()
+	ws, wp := want.programShape()
+	if got.NumInsns() != want.NumInsns() || gs != ws || gp != wp {
 		return fmt.Sprintf("table covers %d insns (allowStack %v, poisoned %#x), want %d (%v, %#x)",
-			got.NumInsns(), got.allowStack, got.poisoned, want.NumInsns(), want.allowStack, want.poisoned)
+			got.NumInsns(), gs, gp, want.NumInsns(), ws, wp)
 	}
 	for i := 0; i < want.NumInsns(); i++ {
 		for r := 0; r < isa.NumReg; r++ {
 			if g, w := got.Claim(i, r), want.Claim(i, r); g != w {
 				return fmt.Sprintf("insn %d R%d: %v, want %v", i, r, g, w)
+			}
+		}
+	}
+	return ""
+}
+
+// liveDiff describes the first row of t whose LiveRow disagrees with
+// Claim, or returns "": bit r of the live mask must be set exactly when
+// register r's claim is checkable, and the row must then hold that claim.
+func liveDiff(t *StateTable) string {
+	for i := 0; i < t.NumInsns(); i++ {
+		live, row := t.LiveRow(i)
+		for r := 0; r < isa.NumReg; r++ {
+			c := t.Claim(i, r)
+			set := live&(1<<r) != 0
+			if set != (c.Kind >= ClaimScalar) {
+				return fmt.Sprintf("insn %d R%d: live bit %v for a %v claim", i, r, set, c.Kind)
+			}
+			if set && row[r] != c {
+				return fmt.Sprintf("insn %d R%d: live row holds %v, claim is %v", i, r, row[r], c)
 			}
 		}
 	}
@@ -213,5 +247,63 @@ func TestStateTableReuseMatchesFresh(t *testing.T) {
 	if longer == 0 || shorter == 0 || stackDiffers == 0 || poisonDiffers == 0 {
 		t.Errorf("pairs cover A longer %d, shorter %d, allowStack differs %d, poisoned differs %d times; want each > 0",
 			longer, shorter, stackDiffers, poisonDiffers)
+	}
+}
+
+// TestStateTableStaleRowsReadNone: rows an earlier, longer program
+// recorded read as ClaimNone when a later program's paths do not reach
+// them — after a shorter program shrank the table, and after a program as
+// long as the first one that is rejected before its paths get there.
+func TestStateTableStaleRowsReadNone(t *testing.T) {
+	k := newBenchKernel()
+	long := dirtyProgram()
+	short := sockProg(isa.Mov64Imm(isa.R0, 0), isa.Exit())
+	// As long as long, and rejected at insn 1: no path reaches insn 2.
+	insns := []isa.Instruction{isa.Mov64Imm(isa.R0, 0), isa.Mov64Reg(isa.R0, isa.R5)}
+	for len(insns) < len(long.Insns)-1 {
+		insns = append(insns, isa.Mov64Imm(isa.R0, 0))
+	}
+	cut := sockProg(append(insns, isa.Exit())...)
+
+	cfg := k.config(nil)
+	cfg.RecordStates = true
+	ref := new(refStateTable)
+	tab := &StateTable{shadow: ref}
+	cfg.States = tab
+	if _, err := Verify(long, cfg); err != nil {
+		t.Fatalf("long program rejected: %v", err)
+	}
+	for i := 2; i < tab.NumInsns(); i++ {
+		if live, _ := tab.LiveRow(i); live == 0 {
+			t.Fatalf("long program: insn %d has no checkable claim; the rows must start dirty", i)
+		}
+	}
+	if _, err := Verify(short, cfg); err != nil {
+		t.Fatalf("short program rejected: %v", err)
+	}
+	if d := claimsDiff(tab, ref); d != "" {
+		t.Fatalf("after the short program: %s", d)
+	}
+	if _, err := Verify(cut, cfg); err == nil {
+		t.Fatal("program reading an uninitialized R5 was accepted")
+	}
+	if tab.NumInsns() != len(long.Insns) {
+		t.Fatalf("table covers %d insns, want %d", tab.NumInsns(), len(long.Insns))
+	}
+	for i := 2; i < tab.NumInsns(); i++ {
+		if live, _ := tab.LiveRow(i); live != 0 {
+			t.Errorf("insn %d: live mask %#x, want 0", i, live)
+		}
+		for r := 0; r < isa.NumReg; r++ {
+			if c := tab.Claim(i, r); c != (RegClaim{}) {
+				t.Errorf("insn %d R%d: %v, want none", i, r, c)
+			}
+		}
+	}
+	if d := claimsDiff(tab, ref); d != "" {
+		t.Errorf("after the rejected program: %s", d)
+	}
+	if d := liveDiff(tab); d != "" {
+		t.Error(d)
 	}
 }

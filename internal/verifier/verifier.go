@@ -103,21 +103,22 @@ type Config struct {
 	Timeout time.Duration
 	// RecordStates snapshots the joined per-instruction abstract register
 	// state into Result.States for the differential soundness oracle.
-	// Off by default: recording clears a claim table the size of the
-	// program (a fresh allocation unless States supplies one) and joins
-	// every register at every simulated instruction, which the pooled
-	// zero-alloc hot path must not pay for. Recording never changes the
-	// verification itself: the verdict, Result.Prog, Result.RangeChecks
-	// and Result.InsnProcessed are the same with it off
-	// (FuzzVerifyRecordStatesNoPanic checks this), so a load that reads
-	// no claims can skip it.
+	// Off by default: recording clears the claim kinds of every
+	// instruction (a fresh table unless States supplies one) and, at
+	// every simulated instruction, joins each register whose claim is not
+	// yet ClaimSkip, which the pooled zero-alloc hot path must not pay
+	// for. Recording never changes the verification itself: the verdict,
+	// Result.Prog, Result.RangeChecks and Result.InsnProcessed are the
+	// same with it off (FuzzVerifyRecordStatesNoPanic checks this), so a
+	// load that reads no claims can skip it.
 	RecordStates bool
 	// States, when non-nil, is the claim table RecordStates records into
 	// instead of allocating one per call. Once the program passes the
 	// structural checks, Verify resets the table for it, so the table
 	// holds only the latest verification's claims, and returns it as
-	// Result.States. Its buffer grows only for a program longer than any
-	// it held before. Ignored without RecordStates.
+	// Result.States. Its planes grow only for a program longer than any
+	// it held before, to that program's length. Ignored without
+	// RecordStates.
 	States *StateTable
 	// Cache, when non-nil, memoizes whole-program verdicts across Verify
 	// calls (see cache.go). It is consulted only when the run is

@@ -181,24 +181,32 @@ var poolSpecs = []maps.Spec{
 	{Type: maps.LRUHash, KeySize: 4, ValueSize: 16, MaxEntries: 4, Name: "lru"},
 }
 
-// recycle builds a fresh kernel and resource pool. Existing coverage and
+// recycle gives the campaign a fresh kernel and resource pool. It resets
+// the current kernel in place (Kernel.Reset is equivalent to kernel.New
+// with the same configuration, and an oracle kernel keeps its grown claim
+// table) and builds one only when there is none: at the start, after a
+// resume, or after a contained panic dropped it. Existing coverage and
 // corpus persist; map fds are stable because the pool is created in a
 // fixed order.
 func (c *Campaign) recycle() error {
 	if err := faultinject.FireErr("core.recycle"); err != nil {
 		return fmt.Errorf("campaign: recycle: %w", err)
 	}
-	c.k = kernel.New(kernel.Config{
-		Version:       c.cfg.Version,
-		Bugs:          c.cfg.OverrideBugs,
-		Sanitize:      c.cfg.Sanitize,
-		Cov:           c.stats.Coverage,
-		VerifyTimeout: c.cfg.Supervision.verifyTimeout(),
-		ExecTimeout:   c.cfg.Supervision.execTimeout(),
-		Oracle:        c.cfg.Oracle,
-		Cache:         c.cfg.Cache,
-		CacheNanos:    &c.cacheNanos,
-	})
+	if c.k != nil {
+		c.k.Reset()
+	} else {
+		c.k = kernel.New(kernel.Config{
+			Version:       c.cfg.Version,
+			Bugs:          c.cfg.OverrideBugs,
+			Sanitize:      c.cfg.Sanitize,
+			Cov:           c.stats.Coverage,
+			VerifyTimeout: c.cfg.Supervision.verifyTimeout(),
+			ExecTimeout:   c.cfg.Supervision.execTimeout(),
+			Oracle:        c.cfg.Oracle,
+			Cache:         c.cfg.Cache,
+			CacheNanos:    &c.cacheNanos,
+		})
+	}
 	var err error
 	if c.pool, err = installPool(c.k, c.pool[:0]); err != nil {
 		return fmt.Errorf("campaign: %w", err)

@@ -8,7 +8,6 @@ package coverage
 
 import (
 	"errors"
-	"sort"
 	"sync"
 )
 
@@ -46,13 +45,13 @@ func SiteOf(loc string) Site {
 
 // Map records the set of covered sites. A Map is safe for concurrent use.
 type Map struct {
-	mu    sync.RWMutex
-	sites map[Site]uint64 // hit counts
+	mu sync.RWMutex
+	t  table // hit counts
 }
 
 // NewMap returns an empty coverage map.
 func NewMap() *Map {
-	return &Map{sites: make(map[Site]uint64)}
+	return &Map{}
 }
 
 // Hit records one execution of the given site.
@@ -61,7 +60,7 @@ func (m *Map) Hit(s Site) {
 		return
 	}
 	m.mu.Lock()
-	m.sites[s]++
+	m.t.add(s, 1)
 	m.mu.Unlock()
 }
 
@@ -75,7 +74,7 @@ func (m *Map) Count() int {
 	}
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return len(m.sites)
+	return len(m.t.used)
 }
 
 // Covered reports whether s has been hit at least once.
@@ -85,7 +84,7 @@ func (m *Map) Covered(s Site) bool {
 	}
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	_, ok := m.sites[s]
+	_, ok := m.t.get(s)
 	return ok
 }
 
@@ -96,43 +95,26 @@ func (m *Map) Hits(s Site) uint64 {
 	}
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.sites[s]
+	n, _ := m.t.get(s)
+	return n
 }
 
 // Merge adds every site of other into m and returns the number of sites
 // that were new to m. Fuzzing engines use the return value as the "new
 // coverage" feedback signal.
 //
-// Merge never holds both maps' locks at once: other is snapshotted under
-// its read lock first, then folded into m under m's write lock. Two
+// Merge never holds both maps' locks at once: other's pairs are copied
+// under its read lock first, then folded into m under m's write lock. Two
 // goroutines may therefore merge the same pair of maps in opposite
 // directions concurrently without deadlocking. A self-merge is a no-op.
 func (m *Map) Merge(other *Map) int {
 	if m == nil || other == nil || m == other {
 		return 0
 	}
-	snap := other.snapshotCounts()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	fresh := 0
-	for s, n := range snap {
-		if _, ok := m.sites[s]; !ok {
-			fresh++
-		}
-		m.sites[s] += n
-	}
-	return fresh
-}
-
-// snapshotCounts copies the site->count map under the read lock.
-func (m *Map) snapshotCounts() map[Site]uint64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	snap := make(map[Site]uint64, len(m.sites))
-	for s, n := range m.sites {
-		snap[s] = n
-	}
-	return snap
+	other.mu.RLock()
+	snap := other.t.appendPairs(nil)
+	other.mu.RUnlock()
+	return m.AddSites(snap)
 }
 
 // AddSites folds a recorded (site, count) profile into m under one lock
@@ -147,10 +129,9 @@ func (m *Map) AddSites(sites []SiteCount) int {
 	defer m.mu.Unlock()
 	fresh := 0
 	for _, sc := range sites {
-		if _, ok := m.sites[sc.Site]; !ok {
+		if m.t.add(sc.Site, sc.Count) {
 			fresh++
 		}
-		m.sites[sc.Site] += sc.Count
 	}
 	return fresh
 }
@@ -158,7 +139,7 @@ func (m *Map) AddSites(sites []SiteCount) int {
 // Reset clears all recorded coverage.
 func (m *Map) Reset() {
 	m.mu.Lock()
-	m.sites = make(map[Site]uint64)
+	m.t.clear()
 	m.mu.Unlock()
 }
 
@@ -167,18 +148,7 @@ func (m *Map) Reset() {
 func (m *Map) Snapshot() []Site {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.sortedLocked()
-}
-
-// sortedLocked returns the covered sites in ascending order; the caller
-// holds the lock, read or write.
-func (m *Map) sortedLocked() []Site {
-	out := make([]Site, 0, len(m.sites))
-	for s := range m.sites {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return m.t.sortedSites()
 }
 
 // MarshalBinary serializes the map as a deterministic (sorted) sequence of
@@ -189,14 +159,13 @@ func (m *Map) MarshalBinary() ([]byte, error) {
 	if m == nil {
 		return nil, nil
 	}
-	// One read lock for the whole walk: taking Snapshot() first and
-	// re-locking to read the counts would let a concurrent Hit/Merge land
-	// between the two, serializing a site list from one instant with
-	// counts from another (a torn snapshot under checkpoint-while-running).
+	// One read lock for the whole walk, so the serialized sites and
+	// counts are from one instant even while other goroutines hit and
+	// merge (checkpoint-while-running).
 	m.mu.RLock()
-	defer m.mu.RUnlock()
-	sites := m.sortedLocked()
-	out := make([]byte, 0, 8+16*len(sites))
+	pairs := m.t.sortedPairs()
+	m.mu.RUnlock()
+	out := make([]byte, 0, 8+16*len(pairs))
 	var b [8]byte
 	put := func(v uint64) {
 		for i := 0; i < 8; i++ {
@@ -204,44 +173,43 @@ func (m *Map) MarshalBinary() ([]byte, error) {
 		}
 		out = append(out, b[:]...)
 	}
-	put(uint64(len(sites)))
-	for _, s := range sites {
-		put(uint64(s))
-		put(m.sites[s])
+	put(uint64(len(pairs)))
+	for _, p := range pairs {
+		put(uint64(p.Site))
+		put(p.Count)
 	}
 	return out, nil
 }
 
 // UnmarshalBinary restores a map serialized by MarshalBinary, replacing any
-// existing contents.
+// existing contents. Malformed input is an error and leaves m unchanged:
+// the pair count is checked against the data's length before anything is
+// allocated or read, so a hostile count cannot index past the buffer.
 func (m *Map) UnmarshalBinary(data []byte) error {
-	if len(data) == 0 {
-		m.mu.Lock()
-		m.sites = make(map[Site]uint64)
-		m.mu.Unlock()
-		return nil
-	}
-	if len(data) < 8 {
-		return errors.New("coverage: truncated serialized map")
-	}
-	get := func(off int) uint64 {
-		var v uint64
-		for i := 0; i < 8; i++ {
-			v |= uint64(data[off+i]) << (8 * i)
+	var t table
+	if len(data) > 0 {
+		if len(data) < 8 {
+			return errors.New("coverage: truncated serialized map")
 		}
-		return v
-	}
-	n := int(get(0))
-	if len(data) != 8+16*n {
-		return errors.New("coverage: serialized map length mismatch")
-	}
-	sites := make(map[Site]uint64, n)
-	for i := 0; i < n; i++ {
-		off := 8 + 16*i
-		sites[Site(get(off))] = get(off + 8)
+		get := func(off int) uint64 {
+			var v uint64
+			for i := 0; i < 8; i++ {
+				v |= uint64(data[off+i]) << (8 * i)
+			}
+			return v
+		}
+		// Compared as uint64: a count near 2^60 would wrap 16*n back
+		// to the data's length in int arithmetic.
+		n := get(0)
+		if (len(data)-8)%16 != 0 || n != uint64(len(data)-8)/16 {
+			return errors.New("coverage: serialized map length mismatch")
+		}
+		for off := 8; off < len(data); off += 16 {
+			t.set(Site(get(off)), get(off+8))
+		}
 	}
 	m.mu.Lock()
-	m.sites = sites
+	m.t = t
 	m.mu.Unlock()
 	return nil
 }
@@ -251,9 +219,10 @@ func (m *Map) UnmarshalBinary(data []byte) error {
 // counts or insertion order.
 func (m *Map) Signature() uint64 {
 	m.mu.RLock()
-	defer m.mu.RUnlock()
+	sites := m.t.sortedSites()
+	m.mu.RUnlock()
 	h := uint64(fnvOffset64)
-	for _, s := range m.sortedLocked() {
+	for _, s := range sites {
 		v := uint64(s)
 		for i := 0; i < 8; i++ {
 			h ^= v >> (8 * i) & 0xff

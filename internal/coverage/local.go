@@ -1,7 +1,5 @@
 package coverage
 
-import "slices"
-
 // Local is an unsynchronized per-run coverage recorder. One verification
 // (or one campaign iteration) records every hit into its Local without
 // touching a lock, then folds the whole batch into the shared Map with a
@@ -9,12 +7,12 @@ import "slices"
 // site. A Local is NOT safe for concurrent use; ownership follows the run
 // that records into it.
 type Local struct {
-	sites map[Site]uint64
+	t table
 }
 
 // NewLocal returns an empty local recorder.
 func NewLocal() *Local {
-	return &Local{sites: make(map[Site]uint64, 128)}
+	return &Local{}
 }
 
 // Hit records one execution of the given site.
@@ -22,7 +20,7 @@ func (l *Local) Hit(s Site) {
 	if l == nil {
 		return
 	}
-	l.sites[s]++
+	l.t.add(s, 1)
 }
 
 // HitLoc records one execution of the site named by loc.
@@ -33,7 +31,7 @@ func (l *Local) Len() int {
 	if l == nil {
 		return 0
 	}
-	return len(l.sites)
+	return len(l.t.used)
 }
 
 // Export returns the recorded (site, count) profile in deterministic
@@ -41,25 +39,10 @@ func (l *Local) Len() int {
 // capture it at the end of a verification so a later hit can replay the
 // exact profile with Map.AddSites.
 func (l *Local) Export() []SiteCount {
-	if l == nil || len(l.sites) == 0 {
+	if l == nil {
 		return nil
 	}
-	out := make([]SiteCount, 0, len(l.sites))
-	for s, n := range l.sites {
-		out = append(out, SiteCount{Site: s, Count: n})
-	}
-	// The generic sort avoids sort.Slice's reflection swapper — Export
-	// runs once per cache-missing verification.
-	slices.SortFunc(out, func(a, b SiteCount) int {
-		switch {
-		case a.Site < b.Site:
-			return -1
-		case a.Site > b.Site:
-			return 1
-		}
-		return 0
-	})
-	return out
+	return l.t.sortedPairs()
 }
 
 // FlushTo folds every recorded hit into m under one lock acquisition and
@@ -67,22 +50,20 @@ func (l *Local) Export() []SiteCount {
 // new to m (the fuzzing "new coverage" feedback signal), exactly as if
 // every hit had been recorded on m directly.
 func (l *Local) FlushTo(m *Map) int {
-	if l == nil || len(l.sites) == 0 {
+	if l == nil || len(l.t.used) == 0 {
 		return 0
 	}
 	fresh := 0
 	if m != nil {
 		m.mu.Lock()
-		for s, n := range l.sites {
-			if _, ok := m.sites[s]; !ok {
+		for _, i := range l.t.used {
+			e := &l.t.slots[i]
+			if m.t.add(e.site, e.n) {
 				fresh++
 			}
-			m.sites[s] += n
 		}
 		m.mu.Unlock()
 	}
-	for s := range l.sites {
-		delete(l.sites, s)
-	}
+	l.t.clear()
 	return fresh
 }

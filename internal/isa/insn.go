@@ -42,9 +42,7 @@ type InsnMeta struct {
 }
 
 // IsWide reports whether the instruction occupies two encoded slots.
-func (ins Instruction) IsWide() bool {
-	return ins.Opcode == uint8(ClassLD|ModeIMM|SizeDW)
-}
+func (ins Instruction) IsWide() bool { return isWide(ins.Opcode) }
 
 // Class returns the instruction's class bits.
 func (ins Instruction) Class() uint8 { return Class(ins.Opcode) }
@@ -55,9 +53,7 @@ func (ins Instruction) IsExit() bool {
 }
 
 // IsCall reports whether the instruction is any kind of call.
-func (ins Instruction) IsCall() bool {
-	return ins.Opcode == ClassJMP|CALL
-}
+func (ins Instruction) IsCall() bool { return isCall(ins.Opcode) }
 
 // IsHelperCall reports whether the instruction calls a helper function
 // (as opposed to a bpf-to-bpf or kfunc call).
@@ -76,16 +72,26 @@ func (ins Instruction) IsKfuncCall() bool {
 }
 
 // IsUncondJump reports whether the instruction is an unconditional jump.
-func (ins Instruction) IsUncondJump() bool {
-	return ins.Opcode == ClassJMP|JA || ins.Opcode == ClassJMP32|JA
-}
+func (ins Instruction) IsUncondJump() bool { return isUncondJump(ins.Opcode) }
 
 // IsCondJump reports whether the instruction is a conditional jump.
-func (ins Instruction) IsCondJump() bool {
-	if !IsJmpClass(ins.Class()) {
+func (ins Instruction) IsCondJump() bool { return isCondJump(ins.Opcode) }
+
+// The opcode-level forms of the predicates above. Program.Validate uses
+// them on an instruction in place: calling a value-receiver method
+// through a pointer copies the whole 32-byte instruction first.
+
+func isWide(opc uint8) bool { return opc == ClassLD|ModeIMM|SizeDW }
+
+func isCall(opc uint8) bool { return opc == ClassJMP|CALL }
+
+func isUncondJump(opc uint8) bool { return opc == ClassJMP|JA || opc == ClassJMP32|JA }
+
+func isCondJump(opc uint8) bool {
+	if !IsJmpClass(Class(opc)) {
 		return false
 	}
-	op := Op(ins.Opcode)
+	op := Op(opc)
 	return op != JA && op != CALL && op != EXIT
 }
 
@@ -176,17 +182,21 @@ func (ins Instruction) String() string {
 // bpf_check before any state analysis: known opcode, register numbers in
 // range, reserved fields zero. It mirrors the "early validation" the paper's
 // generators must pass.
-func (ins Instruction) Validate() error {
+func (ins Instruction) Validate() error { return ins.validate() }
+
+// validate is Validate on the instruction in place, which
+// Program.Validate calls for every instruction without copying it.
+func (ins *Instruction) validate() error {
 	if ins.Dst > R10 && !(ins.Dst == R11 && ins.Meta.RewriteEmitted) {
 		return fmt.Errorf("isa: invalid dst register r%d", ins.Dst)
 	}
 	if ins.Src > R10 && !(ins.Src == R11 && ins.Meta.RewriteEmitted) {
 		// Pseudo src values in LD_IMM64 / CALL are checked below.
-		if !(ins.IsWide() || ins.IsCall()) {
+		if !(isWide(ins.Opcode) || isCall(ins.Opcode)) {
 			return fmt.Errorf("isa: invalid src register r%d", ins.Src)
 		}
 	}
-	switch ins.Class() {
+	switch Class(ins.Opcode) {
 	case ClassALU, ClassALU64:
 		return ins.validateALU()
 	case ClassJMP, ClassJMP32:
@@ -231,7 +241,7 @@ func (ins Instruction) Validate() error {
 	return nil
 }
 
-func (ins Instruction) validateALU() error {
+func (ins *Instruction) validateALU() error {
 	op := Op(ins.Opcode)
 	switch op {
 	case ALUAdd, ALUSub, ALUMul, ALUDiv, ALUOr, ALUAnd,
@@ -265,7 +275,7 @@ func (ins Instruction) validateALU() error {
 	return nil
 }
 
-func (ins Instruction) validateJmp() error {
+func (ins *Instruction) validateJmp() error {
 	op := Op(ins.Opcode)
 	switch op {
 	case JA:
@@ -273,7 +283,7 @@ func (ins Instruction) validateJmp() error {
 			return fmt.Errorf("isa: ja with nonzero operands")
 		}
 	case CALL:
-		if ins.Class() == ClassJMP32 {
+		if Class(ins.Opcode) == ClassJMP32 {
 			return fmt.Errorf("isa: call in jmp32 class")
 		}
 		switch ins.Src {
@@ -285,7 +295,7 @@ func (ins Instruction) validateJmp() error {
 			return fmt.Errorf("isa: call with nonzero dst/off")
 		}
 	case EXIT:
-		if ins.Class() == ClassJMP32 {
+		if Class(ins.Opcode) == ClassJMP32 {
 			return fmt.Errorf("isa: exit in jmp32 class")
 		}
 		if ins.Dst != 0 || ins.Src != 0 || ins.Off != 0 || ins.Imm != 0 {
@@ -304,7 +314,7 @@ func (ins Instruction) validateJmp() error {
 	return nil
 }
 
-func (ins Instruction) validateLD() error {
+func (ins *Instruction) validateLD() error {
 	switch Mode(ins.Opcode) {
 	case ModeIMM:
 		if Size(ins.Opcode) != SizeDW {

@@ -154,63 +154,56 @@ var ErrNoInsns = errors.New("isa: program has no instructions")
 // bounds. These are the "basic properties" the paper's init/end sections
 // exist to satisfy.
 func (p *Program) Validate(maxInsns int) error {
-	if len(p.Insns) == 0 {
+	n := len(p.Insns)
+	if n == 0 {
 		return ErrNoInsns
 	}
-	// One pass builds both slot tables; the per-jump target checks below
-	// are then O(1) instead of rescanning the program (the old
-	// SlotOf/IndexOfSlot calls per jump made validation quadratic). The
-	// fixed buffers keep typical programs (generator output tops out
-	// around a thousand slots) entirely on the stack.
-	n := len(p.Insns)
-	var slotBuf [1024]int32
-	var idxBuf [2048]int32
-	slotOf := slotBuf[:0]
-	if n > len(slotBuf) {
-		slotOf = make([]int32, 0, n)
+	// starts marks the slot where each instruction begins, so a jump or
+	// call target is checked with one bit test: a slot past the end or in
+	// the second half of an LD_IMM64 is unmarked. The fixed 256-byte
+	// bitmap covers 2048 slots, more than generated programs use, and
+	// only the words the program reaches are written.
+	var buf [32]uint64
+	starts := buf[:]
+	if 2*n > 64*len(buf) {
+		starts = make([]uint64, (2*n+63)/64)
 	}
 	slots := 0
-	for _, ins := range p.Insns {
-		slotOf = append(slotOf, int32(slots))
+	for i := range p.Insns {
+		starts[slots/64] |= 1 << (slots % 64)
 		slots++
-		if ins.IsWide() {
+		if isWide(p.Insns[i].Opcode) {
 			slots++
 		}
 	}
 	if slots > maxInsns {
 		return fmt.Errorf("isa: program has %d slots, limit %d", slots, maxInsns)
 	}
-	// idxOf[s] is the decoded index + 1 of the insn starting at slot s;
-	// 0 marks the second half of an LD_IMM64.
-	idxOf := idxBuf[:slots]
-	if slots > len(idxBuf) {
-		idxOf = make([]int32, slots)
-	} else {
-		for i := range idxOf {
-			idxOf[i] = 0
-		}
-	}
+	isStart := func(s int) bool { return starts[s/64]&(1<<(s%64)) != 0 }
+	slot := 0
 	for i := range p.Insns {
-		idxOf[slotOf[i]] = int32(i) + 1
-	}
-	for i, ins := range p.Insns {
-		if err := ins.Validate(); err != nil {
+		ins := &p.Insns[i] // in place: no copy of the 32-byte instruction
+		if err := ins.validate(); err != nil {
 			return fmt.Errorf("insn %d: %w", i, err)
 		}
-		if ins.IsCondJump() || ins.IsUncondJump() {
-			tgt := int(slotOf[i]) + 1 + int(ins.Off)
+		if isCondJump(ins.Opcode) || isUncondJump(ins.Opcode) {
+			tgt := slot + 1 + int(ins.Off)
 			if tgt < 0 || tgt >= slots {
 				return fmt.Errorf("insn %d: jump target slot %d out of range [0,%d)", i, tgt, slots)
 			}
-			if idxOf[tgt] == 0 {
+			if !isStart(tgt) {
 				return fmt.Errorf("insn %d: jump into the middle of ld_imm64", i)
 			}
 		}
-		if ins.IsPseudoCall() {
-			tgt := int(slotOf[i]) + 1 + int(ins.Imm)
-			if tgt < 0 || tgt >= slots || idxOf[tgt] == 0 {
+		if isCall(ins.Opcode) && ins.Src == PseudoCall {
+			tgt := slot + 1 + int(ins.Imm)
+			if tgt < 0 || tgt >= slots || !isStart(tgt) {
 				return fmt.Errorf("insn %d: pseudo call target %d out of range", i, tgt)
 			}
+		}
+		slot++
+		if isWide(ins.Opcode) {
+			slot++
 		}
 	}
 	last := p.Insns[len(p.Insns)-1]

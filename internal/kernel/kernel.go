@@ -198,10 +198,11 @@ func New(cfg Config) *Kernel {
 
 // Reset restores the kernel to its freshly-constructed state — equivalent
 // to New(k.Cfg) but reusing the machine's immutable registries and this
-// kernel's identity (its ResolveProg closure stays valid). Replay and
-// minimization harnesses Reset one kernel between candidate probes instead
-// of paying a full construction per probe. A program loaded before Reset
-// keeps no oracle claims.
+// kernel's identity (its ResolveProg closure stays valid) and, with
+// Config.Oracle, its claim table and the capacity it has grown. Campaigns
+// Reset their kernel at every recycle, and replay and minimization
+// harnesses between candidate probes, instead of paying a full
+// construction. A program loaded before Reset keeps no oracle claims.
 func (k *Kernel) Reset() {
 	k.M.Reset()
 	k.releaseClaims()

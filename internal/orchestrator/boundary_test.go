@@ -2,6 +2,7 @@ package orchestrator
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -134,6 +135,69 @@ func TestMalformedResultStatsKeepsLease(t *testing.T) {
 	rr, err := NewClient(srv.URL, "w1").Result(good)
 	if err != nil || rr.Status != StatusAccepted {
 		t.Fatalf("good result after the 400 = (%+v, %v), want accepted", rr, err)
+	}
+}
+
+// TestHostileCoverageCountKeepsLease: a result whose statistics carry a
+// coverage map with a pair count that wraps 16*n back to the data's
+// length (2^60 more than the real count) does not decode, so it is
+// answered 400 like any malformed payload: three such reports leave the
+// lease live, the campaign running with no strike, and the real result
+// accepted. Without the count bound in coverage.Map.UnmarshalBinary the
+// decode indexed past the buffer, each report was a recovered panic
+// answered 500, and the third failed the campaign.
+func TestHostileCoverageCountKeepsLease(t *testing.T) {
+	spec := testSpec()
+	m, ids := newTestManager(t, ManagerConfig{}, spec)
+	srv := httptest.NewServer(NewServer(m))
+	defer srv.Close()
+
+	lr := m.Lease(LeaseRequest{Worker: "w1"})
+	if lr.Status != StatusLease {
+		t.Fatalf("lease = %+v", lr)
+	}
+	good := runUnit(t, spec, lr.Unit)
+	st, err := DecodeStats(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := st.Coverage.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(good, blob)
+	if at < 0 || len(blob) < 24 {
+		t.Fatalf("coverage blob (%d bytes) not found verbatim in the %d-byte payload", len(blob), len(good))
+	}
+	hostile := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint64(hostile[at:], binary.LittleEndian.Uint64(blob)+1<<60)
+	if _, err := DecodeStats(hostile); err == nil {
+		t.Fatal("DecodeStats accepted a wrapped coverage count")
+	}
+
+	req := ResultRequest{Worker: "w1", Campaign: ids[0], UnitID: lr.Unit.ID, Token: lr.Token, Stats: hostile}
+	for i := 0; i < maxStrikes; i++ {
+		if got := postStatus(t, srv.URL+PathResult, req); got != http.StatusBadRequest {
+			t.Fatalf("hostile result %d = %d, want 400", i+1, got)
+		}
+	}
+	hb := m.Heartbeat(HeartbeatRequest{Worker: "w1", Campaign: ids[0], UnitID: lr.Unit.ID, Token: lr.Token})
+	if hb.Status != StatusOK {
+		t.Fatalf("heartbeat after the 400s = %q, want ok (lease fenced?)", hb.Status)
+	}
+	m.mu.Lock()
+	strikes := m.campaigns[ids[0]].strikes
+	m.mu.Unlock()
+	if strikes != 0 {
+		t.Fatalf("campaign has %d strikes, want 0", strikes)
+	}
+	if got := m.CampaignState(ids[0]); got != StateRunning {
+		t.Fatalf("campaign state = %q, want %q", got, StateRunning)
+	}
+	req.Stats = good
+	rr, err := NewClient(srv.URL, "w1").Result(req)
+	if err != nil || rr.Status != StatusAccepted {
+		t.Fatalf("good result after the 400s = (%+v, %v), want accepted", rr, err)
 	}
 }
 

@@ -170,7 +170,7 @@ func sameObject(a, b *RegState) bool {
 	case PtrToStack:
 		return true
 	case PtrToMapValue, ConstPtrToMap:
-		return a.Map == b.Map
+		return a.MapIdx == b.MapIdx
 	case PtrToPacket, PtrToPacketEnd:
 		return true
 	case PtrToBTFID:

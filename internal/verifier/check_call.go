@@ -56,7 +56,8 @@ func (e *env) checkHelperCall(st *State, i int, ins isa.Instruction) error {
 
 	// Argument checking.
 	var meta struct {
-		m *maps.Map // map from the ArgConstMapPtr position
+		m   *maps.Map // map from the ArgConstMapPtr position
+		idx uint32    // its RegState.MapIdx
 	}
 	for ai, at := range h.Args {
 		if at == ArgNoneSentinel {
@@ -77,16 +78,16 @@ func (e *env) checkHelperCall(st *State, i int, ins isa.Instruction) error {
 				return argErr("type=%s expected=scalar", reg.Type)
 			}
 		case helpers.ArgConstMapPtr:
-			if reg.Type != ConstPtrToMap || reg.Map == nil {
+			if reg.Type != ConstPtrToMap {
 				return argErr("type=%s expected=map_ptr", reg.Type)
 			}
-			meta.m = reg.Map
-			e.covMapArg(reg.Map.Type)
+			meta.m, meta.idx = e.mapOf(reg), reg.MapIdx
+			e.covMapArg(meta.m.Type)
 			// Map/helper compatibility, as in check_map_func_compatibility:
 			// prog arrays are only usable by bpf_tail_call and vice versa.
-			if (reg.Map.Type == maps.ProgArray) != (h.ID == helpers.TailCall) {
+			if (meta.m.Type == maps.ProgArray) != (h.ID == helpers.TailCall) {
 				e.cov("call:map_func_incompat")
-				return e.reject(i, EINVAL, "cannot pass map_type %d into func %s", reg.Map.Type, h.Name)
+				return e.reject(i, EINVAL, "cannot pass map_type %d into func %s", meta.m.Type, h.Name)
 			}
 		case helpers.ArgMapKey:
 			if meta.m == nil {
@@ -172,7 +173,7 @@ func (e *env) checkHelperCall(st *State, i int, ins isa.Instruction) error {
 		if meta.m == nil {
 			return e.reject(i, EINVAL, "helper %s returns map value without map arg", h.Name)
 		}
-		*r0 = RegState{Type: PtrToMapValue, Map: meta.m, MaybeNull: true, ID: e.newID()}
+		*r0 = RegState{Type: PtrToMapValue, MapIdx: meta.idx, MaybeNull: true, ID: e.newID()}
 		r0.zeroVar()
 	case helpers.RetBTFTask:
 		e.cov("call:ret_btf_task")
@@ -269,8 +270,11 @@ func (e *env) checkHelperMemArg(st *State, i int, reg *RegState, size int, writa
 		start := isa.StackSize + off
 		slotLo := int(start) / 8
 		slotHi := int(start+int64(size)-1) / 8
+		if writable {
+			f.allocStack(slotLo)
+		}
 		for s := slotLo; s <= slotHi; s++ {
-			if f.Stack[s].Kind == SlotInvalid {
+			if f.slotAt(s).Kind == SlotInvalid {
 				if writable {
 					// The helper fully initializes the region.
 					f.Stack[s] = StackSlot{Kind: SlotMisc}
@@ -287,10 +291,10 @@ func (e *env) checkHelperMemArg(st *State, i int, reg *RegState, size int, writa
 	case PtrToMapValue:
 		lo := int64(reg.Off) + reg.SMin
 		hi := int64(reg.Off) + reg.SMax
-		if lo < 0 || hi+int64(size) > int64(reg.Map.ValueSize) {
+		if vs := e.mapOf(reg).ValueSize; lo < 0 || hi+int64(size) > int64(vs) {
 			e.cov("call:map_value_oob")
 			return e.reject(i, EACCES, "invalid access to map value, value_size=%d off=%d size=%d",
-				reg.Map.ValueSize, reg.Off, size)
+				vs, reg.Off, size)
 		}
 		return nil
 	case PtrToPacket:
@@ -421,11 +425,9 @@ func (e *env) checkPseudoCall(st *State, i int, ins isa.Instruction) error {
 	}
 	caller := st.Cur()
 	callee := e.newFrame()
-	// The frame may come from the pool with stale contents: reset fully.
-	*callee = FuncState{FrameNo: caller.FrameNo + 1, CallSite: i}
-	for r := 0; r < isa.NumReg; r++ {
-		callee.Regs[r] = RegState{Type: NotInit}
-	}
+	// The frame may come from the pool with stale contents; init
+	// empties its registers and stack.
+	callee.init(caller.FrameNo+1, i)
 	for r := isa.R1; r <= isa.R5; r++ {
 		callee.Regs[r] = caller.Regs[r]
 	}

@@ -554,7 +554,7 @@ func (e *env) markPtrOrNullRegs(st *State, id uint32, isNull bool) {
 			}
 		}
 	}
-	for s := range f.Stack {
+	for s := f.lo; s < NumStackSlots; s++ {
 		slot := &f.Stack[s]
 		if slot.Kind == SlotSpill && slot.Spill.MaybeNull && slot.Spill.ID == id {
 			if isNull {

@@ -86,6 +86,7 @@ func (e *env) checkStackAccess(st *State, i int, ins isa.Instruction, off int64,
 		// A full-width register store spills the register.
 		if size == 8 && int(start)%8 == 0 && ins.Class() == isa.ClassSTX {
 			e.cov("mem:stack_spill")
+			f.allocStack(slotLo)
 			f.Stack[slotLo] = StackSlot{Kind: SlotSpill, Spill: *st.Reg(ins.Src)}
 			return nil
 		}
@@ -96,6 +97,7 @@ func (e *env) checkStackAccess(st *State, i int, ins isa.Instruction, off int64,
 		if ins.Class() == isa.ClassST && ins.Imm == 0 && size == 8 && int(start)%8 == 0 {
 			kind = SlotZero
 		}
+		f.allocStack(slotLo)
 		for s := slotLo; s <= slotHi; s++ {
 			e.cov("mem:stack_store")
 			f.Stack[s] = StackSlot{Kind: kind}
@@ -104,13 +106,13 @@ func (e *env) checkStackAccess(st *State, i int, ins isa.Instruction, off int64,
 	}
 
 	// Load: a full-slot read of a spill restores the spilled register.
-	if size == 8 && int(start)%8 == 0 && f.Stack[slotLo].Kind == SlotSpill {
+	if size == 8 && int(start)%8 == 0 && f.slotAt(slotLo).Kind == SlotSpill {
 		e.cov("mem:stack_fill")
 		*st.Reg(ins.Dst) = f.Stack[slotLo].Spill
 		return nil
 	}
 	for s := slotLo; s <= slotHi; s++ {
-		switch f.Stack[s].Kind {
+		switch f.slotAt(s).Kind {
 		case SlotInvalid:
 			e.cov("mem:stack_uninit")
 			return e.reject(i, EACCES, "invalid read from stack off %d: uninitialized", off)
@@ -134,7 +136,7 @@ func (e *env) checkStackAccess(st *State, i int, ins isa.Instruction, off int64,
 
 func allZero(f *FuncState, lo, hi int) bool {
 	for s := lo; s <= hi; s++ {
-		if f.Stack[s].Kind != SlotZero {
+		if f.slotAt(s).Kind != SlotZero {
 			return false
 		}
 	}
@@ -213,8 +215,9 @@ func (e *env) checkCtxAccess(st *State, i int, ins isa.Instruction, off int64, s
 // following check_map_access: fixed offset plus variable bounds must stay
 // inside the value.
 func (e *env) checkMapValueAccess(st *State, i int, ins isa.Instruction, reg *RegState, off int64, size int, isStore bool) error {
-	e.covMapValueAccess(reg.Map.Type, size, isStore)
-	vsize := int64(reg.Map.ValueSize)
+	m := e.mapOf(reg)
+	e.covMapValueAccess(m.Type, size, isStore)
+	vsize := int64(m.ValueSize)
 	lo := off + reg.SMin
 	hi := off + reg.SMax
 	if reg.VarOff.IsConst() {

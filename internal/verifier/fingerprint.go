@@ -217,10 +217,10 @@ func fpReg(h uint64, reg *RegState) uint64 {
 	case PtrToStack, PtrToCtx, PtrToPacket:
 		h = fpMix(h, uint64(int64(reg.Off)))
 	case PtrToMapValue:
-		h = fpMix(h, reg.Map.KernAddr)
+		h = fpMix(h, uint64(reg.MapIdx))
 		h = fpMix(h, uint64(int64(reg.Off)))
 	case ConstPtrToMap:
-		h = fpMix(h, reg.Map.KernAddr)
+		h = fpMix(h, uint64(reg.MapIdx))
 	case PtrToBTFID:
 		h = fpMix(h, uint64(int64(reg.BTF)))
 		h = fpMix(h, uint64(int64(reg.Off)))

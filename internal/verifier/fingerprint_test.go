@@ -190,7 +190,8 @@ func exploreStates(prog *isa.Program, cfg *Config, limit int) []*State {
 // exploration passes through, stateSubsumes(old, new) implies
 // stateFingerprint(old) == stateFingerprint(new). A pair that breaks it
 // is one pruneOrRecord would skip without the deep compare that prunes
-// it.
+// it. Every pair must also get the full-frame refStateSubsumes's answer,
+// so comparing only the allocated stacks changes no prune.
 func checkSubsumesFingerprint(t *testing.T, prog *isa.Program, cfg *Config) {
 	t.Helper()
 	states := exploreStates(prog, cfg, 256)
@@ -200,9 +201,14 @@ func checkSubsumesFingerprint(t *testing.T, prog *isa.Program, cfg *Config) {
 	}
 	for i, old := range states {
 		for j, new := range states {
-			if fps[i] != fps[j] && stateSubsumes(old, new) {
+			sub := stateSubsumes(old, new)
+			if fps[i] != fps[j] && sub {
 				t.Fatalf("state at insn %d subsumes state at insn %d but fingerprints differ (%#x vs %#x)\n%s",
 					old.Insn, new.Insn, fps[i], fps[j], prog)
+			}
+			if ref := refStateSubsumes(old, new); sub != ref {
+				t.Fatalf("stateSubsumes(insn %d, insn %d) = %v, full-frame reference %v\n%s",
+					old.Insn, new.Insn, sub, ref, prog)
 			}
 		}
 	}

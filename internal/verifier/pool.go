@@ -56,7 +56,7 @@ func (e *env) cloneState(s *State) *State {
 	n.Frames = n.Frames[:0]
 	for _, f := range s.Frames {
 		nf := e.newFrame()
-		*nf = *f
+		nf.copyFrom(f)
 		n.Frames = append(n.Frames, nf)
 	}
 	n.Refs = append(n.Refs[:0], s.Refs...)
@@ -65,10 +65,10 @@ func (e *env) cloneState(s *State) *State {
 	return n
 }
 
-// newInitialStatePooled is newInitialState through the env pools: the
-// shell and frame shells are reused, and the zero value of a cleared
-// FuncState is exactly the all-NotInit register file the fresh allocation
-// produced.
+// newInitialStatePooled builds the entry state, R1 = ctx pointer and
+// R10 = frame pointer with everything else uninitialized, from the env
+// pools: init gives a pooled frame the all-NotInit register file and
+// empty stack of a fresh one without touching its stack slots.
 func (e *env) newInitialStatePooled() *State {
 	var n *State
 	if ln := len(e.statePool); ln > 0 {
@@ -78,7 +78,7 @@ func (e *env) newInitialStatePooled() *State {
 		n = globalStatePool.Get().(*State)
 	}
 	f := e.newFrame()
-	*f = FuncState{FrameNo: 0, CallSite: -1}
+	f.init(0, -1)
 	f.Regs[isa.R1] = RegState{Type: PtrToCtx, VarOff: tnum.Const(0)}
 	f.Regs[isa.R10] = RegState{Type: PtrToStack, VarOff: tnum.Const(0)}
 	n.Frames = append(n.Frames[:0], f)
@@ -139,7 +139,6 @@ func getEnv(prog *isa.Program, cfg *Config) *env {
 	e.idCounter, e.refCounter, e.snapCounter = 0, 0, 0
 	e.r0Bounds = ReturnBounds{}
 	e.states = nil
-	e.usedMaps = nil // escapes into Result.UsedMaps; never reused
 	e.log.Reset()
 
 	n := len(prog.Insns)
@@ -237,6 +236,8 @@ func (e *env) teardown() {
 		e.worklist[i] = nil
 	}
 	e.worklist = e.worklist[:0]
-	e.cfg, e.prog, e.states, e.usedMaps, e.lcov = nil, nil, nil, nil, nil
+	clear(e.usedMaps)
+	e.usedMaps = e.usedMaps[:0]
+	e.cfg, e.prog, e.states, e.lcov = nil, nil, nil, nil
 	envPool.Put(e)
 }

@@ -15,7 +15,6 @@ import (
 	"math"
 
 	"repro/internal/btf"
-	"repro/internal/maps"
 	"repro/internal/tnum"
 )
 
@@ -63,6 +62,8 @@ type RegState struct {
 	Type RegType
 	// MaybeNull marks nullable pointers (the _OR_NULL variants).
 	MaybeNull bool
+	// Precise marks scalars needing exact tracking during backtracking.
+	Precise bool
 	// Off is the fixed offset added to a pointer.
 	Off int32
 	// VarOff tracks known/unknown bits of the scalar or variable offset.
@@ -72,8 +73,13 @@ type RegState struct {
 	SMax int64
 	UMin uint64
 	UMax uint64
-	// Map is the referenced map for ConstPtrToMap / PtrToMapValue.
-	Map *maps.Map
+	// MapIdx names the referenced map for ConstPtrToMap / PtrToMapValue:
+	// its index in the verification's used-map list, the order
+	// Result.UsedMaps publishes. An index rather than a *maps.Map keeps
+	// RegState, and so every frame, free of pointers: copying a frame is
+	// a plain memmove without write barriers, and the garbage collector
+	// does not scan pooled frames.
+	MapIdx uint32
 	// BTF is the pointee type for PtrToBTFID.
 	BTF btf.TypeID
 	// ID links registers produced by the same nullable source, for
@@ -86,8 +92,6 @@ type RegState struct {
 	MemSize int32
 	// RefObj is the reference id for acquired objects (kfunc acquire).
 	RefObj uint32
-	// Precise marks scalars needing exact tracking during backtracking.
-	Precise bool
 }
 
 // unknownScalar returns a scalar with no known bits or bounds.

@@ -6,6 +6,14 @@ import (
 )
 
 // FuncState is the per-call-frame state: registers and stack slots.
+//
+// Only Stack[lo:] is allocated, like the kernel's allocated_stack: the
+// stack grows down from the frame pointer as the program writes deeper
+// slots, and a slot below lo reads as SlotInvalid whatever Stack still
+// holds there, since pooled frames are reused without clearing. Copies,
+// initialization, subsumption and null propagation therefore touch only
+// the slots the program wrote. A FuncState holds no pointers (RegState
+// names its map by index), so copying one is a plain memmove.
 type FuncState struct {
 	Regs  [isa.NumReg]RegState
 	Stack [NumStackSlots]StackSlot
@@ -14,9 +22,45 @@ type FuncState struct {
 	// CallSite is the instruction index of the call that created this
 	// frame (so exit can resume the caller), -1 for the main frame.
 	CallSite int
-	// SavedRegs are the caller's R6-R9 to restore on exit? The kernel
-	// keeps the caller frame intact; we do the same — this field exists
-	// only for the main frame's clarity and is unused.
+	// lo is the lowest allocated stack slot, NumStackSlots when the
+	// frame has written none. The zero value allocates the whole stack,
+	// so a zero FuncState reads every slot as its (SlotInvalid) zero.
+	lo int
+}
+
+// invalidSlot is what a slot below the allocated stack reads as.
+var invalidSlot StackSlot
+
+// slotAt returns stack slot s for reading: a slot below the allocated
+// stack reads as SlotInvalid. Callers must not write through the result.
+func (f *FuncState) slotAt(s int) *StackSlot {
+	if s < f.lo {
+		return &invalidSlot
+	}
+	return &f.Stack[s]
+}
+
+// allocStack extends the allocated stack down to slot s ahead of a write
+// there, clearing the slots it adds, which may hold a pooled frame's
+// stale contents.
+func (f *FuncState) allocStack(s int) {
+	if s < f.lo {
+		clear(f.Stack[s:f.lo])
+		f.lo = s
+	}
+}
+
+// init makes f an empty frame: every register NotInit, no stack.
+func (f *FuncState) init(frameNo, callSite int) {
+	f.Regs = [isa.NumReg]RegState{}
+	f.FrameNo, f.CallSite, f.lo = frameNo, callSite, NumStackSlots
+}
+
+// copyFrom makes f a copy of src, moving only src's allocated stack.
+func (f *FuncState) copyFrom(src *FuncState) {
+	f.Regs = src.Regs
+	f.FrameNo, f.CallSite, f.lo = src.FrameNo, src.CallSite, src.lo
+	copy(f.Stack[src.lo:], src.Stack[src.lo:])
 }
 
 // State is one point in the verifier's path exploration: the whole call
@@ -39,7 +83,8 @@ func (s *State) Cur() *FuncState { return s.Frames[len(s.Frames)-1] }
 // Reg returns a pointer to register r of the active frame.
 func (s *State) Reg(r uint8) *RegState { return &s.Cur().Regs[r] }
 
-// Clone deep-copies the state.
+// Clone deep-copies the state into fresh frames, whose slots below the
+// allocated stack are zero.
 func (s *State) Clone() *State {
 	n := &State{
 		Frames:   make([]*FuncState, len(s.Frames)),
@@ -48,22 +93,10 @@ func (s *State) Clone() *State {
 		Ancestry: append([]uint64(nil), s.Ancestry...),
 	}
 	for i, f := range s.Frames {
-		cp := *f
-		n.Frames[i] = &cp
+		n.Frames[i] = new(FuncState)
+		n.Frames[i].copyFrom(f)
 	}
 	return n
-}
-
-// newInitialState builds the entry state for a program of the given type:
-// R1 = ctx pointer, R10 = frame pointer, everything else uninitialized.
-func newInitialState() *State {
-	f := &FuncState{FrameNo: 0, CallSite: -1}
-	for i := range f.Regs {
-		f.Regs[i] = RegState{Type: NotInit}
-	}
-	f.Regs[isa.R1] = RegState{Type: PtrToCtx, VarOff: tnum.Const(0)}
-	f.Regs[isa.R10] = RegState{Type: PtrToStack, VarOff: tnum.Const(0)}
-	return &State{Frames: []*FuncState{f}, Insn: 0}
 }
 
 // regSubsumes reports whether knowledge `old` is general enough to cover
@@ -88,7 +121,7 @@ func regSubsumes(old, new *RegState) bool {
 	case PtrToStack, PtrToCtx:
 		return old.Off == new.Off
 	case PtrToMapValue:
-		if old.Map != new.Map || old.Off != new.Off {
+		if old.MapIdx != new.MapIdx || old.Off != new.Off {
 			return false
 		}
 		if new.MaybeNull && !old.MaybeNull {
@@ -97,7 +130,7 @@ func regSubsumes(old, new *RegState) bool {
 		return old.UMin <= new.UMin && new.UMax <= old.UMax &&
 			old.SMin <= new.SMin && new.SMax <= old.SMax
 	case ConstPtrToMap:
-		return old.Map == new.Map
+		return old.MapIdx == new.MapIdx
 	case PtrToPacket:
 		// Old must not promise more validated range than new has.
 		return old.Off == new.Off && old.Range <= new.Range
@@ -152,8 +185,10 @@ func stateSubsumes(old, new *State) bool {
 				return false
 			}
 		}
-		for s := 0; s < NumStackSlots; s++ {
-			if !slotSubsumes(&of.Stack[s], &nf.Stack[s]) {
+		// Below both frames' allocated stacks every slot reads invalid
+		// on both sides, which subsumes.
+		for s := min(of.lo, nf.lo); s < NumStackSlots; s++ {
+			if !slotSubsumes(of.slotAt(s), nf.slotAt(s)) {
 				return false
 			}
 		}

@@ -288,8 +288,11 @@ type env struct {
 	// operands, which disables that insn's alu_limit assertion.
 	aluScalarPath []bool
 	probeMem      []bool
-	// usedMaps is published in Result.UsedMaps and therefore never pooled.
-	// Membership is a linear scan (programs reference a handful of maps).
+	// usedMaps lists every map the program references, in first-use
+	// order; RegState.MapIdx indexes it. It is pooled: an accepted
+	// program publishes a copy as Result.UsedMaps, and teardown clears
+	// the entries. Membership is a linear scan (programs reference a
+	// handful of maps).
 	usedMaps []*maps.Map
 
 	// lcov is the per-verification coverage recorder (nil when coverage is
@@ -537,7 +540,7 @@ func verify(prog *isa.Program, cfg *Config, capture *[]coverage.SiteCount) (*Res
 		PeakStates:    e.peakStates,
 		TotalStates:   e.totalStates,
 		ProbeMem:      e.probeMemMap(),
-		UsedMaps:      e.usedMaps,
+		UsedMaps:      e.usedMapsCopy(),
 		R0Bounds:      e.r0Bounds,
 		States:        e.states,
 		Log:           e.log.String(),
@@ -551,6 +554,15 @@ func verify(prog *isa.Program, cfg *Config, capture *[]coverage.SiteCount) (*Res
 		}
 	}
 	return res, nil
+}
+
+// usedMapsCopy publishes the used-map list as Result.UsedMaps, nil when
+// the program references no map.
+func (e *env) usedMapsCopy() []*maps.Map {
+	if len(e.usedMaps) == 0 {
+		return nil
+	}
+	return append([]*maps.Map(nil), e.usedMaps...)
 }
 
 // probeMemMap publishes the probe-mem conversion set as the map Result
@@ -750,9 +762,8 @@ func (e *env) checkLDImm(st *State, i int, ins isa.Instruction) error {
 		if m == nil {
 			return e.reject(i, EINVAL, "fd %d is not pointing to valid bpf_map", int32(ins.Imm64))
 		}
-		*dst = RegState{Type: ConstPtrToMap, Map: m}
+		*dst = RegState{Type: ConstPtrToMap, MapIdx: e.noteMap(m)}
 		dst.zeroVar()
-		e.noteMap(m)
 	case isa.PseudoMapValue:
 		e.cov("ld_imm64:map_value")
 		m := e.cfg.mapByFD(int32(uint32(ins.Imm64)))
@@ -766,9 +777,8 @@ func (e *env) checkLDImm(st *State, i int, ins isa.Instruction) error {
 		if off < 0 || uint32(off) >= m.ValueSize {
 			return e.reject(i, EACCES, "direct value offset of %d is not allowed", off)
 		}
-		*dst = RegState{Type: PtrToMapValue, Map: m, Off: off}
+		*dst = RegState{Type: PtrToMapValue, MapIdx: e.noteMap(m), Off: off}
 		dst.zeroVar()
-		e.noteMap(m)
 	case isa.PseudoBTFID:
 		e.cov("ld_imm64:btf_id")
 		id := btf.TypeID(int32(ins.Imm64))
@@ -793,14 +803,21 @@ func (c *Config) mapByFD(fd int32) *maps.Map {
 	return c.MapByFD(fd)
 }
 
-func (e *env) noteMap(m *maps.Map) {
-	for _, x := range e.usedMaps {
+// noteMap adds m to the used-map list, once, and returns its index
+// there, the RegState.MapIdx that names it.
+func (e *env) noteMap(m *maps.Map) uint32 {
+	for i, x := range e.usedMaps {
 		if x == m {
-			return
+			return uint32(i)
 		}
 	}
 	e.usedMaps = append(e.usedMaps, m)
+	return uint32(len(e.usedMaps) - 1)
 }
+
+// mapOf returns the map a ConstPtrToMap or PtrToMapValue register
+// refers to.
+func (e *env) mapOf(r *RegState) *maps.Map { return e.usedMaps[r.MapIdx] }
 
 // errIsVerifier reports whether err is a verifier rejection (vs an
 // internal failure).

@@ -11,55 +11,91 @@ import (
 // mirror §4.1's description: immediate tweaks, and duplication of
 // adjacent instructions to simulate unrolled loops.
 //
-// The parent is cloned once up front and the in-place operators work on
-// that clone directly; only a mutation that produced an invalid program
-// pays for a re-clone. Sibling-batch scheduling calls Mutate once per
-// sibling against a pinned parent, so a batch of K siblings costs K
-// clones, not K×attempts.
+// The in-place operators edit one copy of the parent, made the first
+// time one of them is drawn; an edit that leaves the program invalid is
+// undone by copying the parent back over it. Duplication builds its own
+// program from the parent and needs no copy. Sibling-batch scheduling
+// calls Mutate once per sibling against a pinned parent, so a batch of K
+// siblings costs at most K copies, not K×attempts.
 func Mutate(r *rand.Rand, p *isa.Program) *isa.Program {
-	q := p.Clone()
+	var q *isa.Program
 	for attempt := 0; attempt < 4; attempt++ {
-		var m *isa.Program
+		op := r.Intn(4)
+		if op == 1 {
+			if m, ok := mutateDup(r, p); ok && m.Validate(isa.MaxInsns) == nil {
+				return m
+			}
+			continue
+		}
+		if q == nil {
+			q = p.Clone()
+		}
 		var ok bool
-		switch r.Intn(4) {
+		switch op {
 		case 0:
-			m, ok = q, mutateImm(r, q)
-		case 1:
-			// Duplication builds its own program (InsertAt copies and
-			// patches jumps), straight from the parent: q stays pristine.
-			m, ok = mutateDup(r, p)
+			ok = mutateImm(r, q)
 		case 2:
-			m, ok = q, mutateStoreValue(r, q)
+			ok = mutateStoreValue(r, q)
 		case 3:
-			m, ok = q, mutateAttach(r, q)
+			ok = mutateAttach(r, q)
 		}
 		if !ok {
 			continue
 		}
-		if m.Validate(isa.MaxInsns) == nil {
-			return m
+		if q.Validate(isa.MaxInsns) == nil {
+			return q
 		}
-		if m == q {
-			q = p.Clone() // undo an in-place mutation that went invalid
-		}
+		// Undo the edit, so the next operator starts from the parent.
+		insns := q.Insns
+		*q = *p
+		q.Insns = insns
+		copy(insns, p.Insns)
+	}
+	if q == nil {
+		return p.Clone()
 	}
 	return q
 }
 
-// mutateImm perturbs the immediate of one ALU or store instruction.
-func mutateImm(r *rand.Rand, p *isa.Program) bool {
-	var cand []int
-	for i, ins := range p.Insns {
-		cls := ins.Class()
-		if (cls == isa.ClassALU || cls == isa.ClassALU64) &&
-			isa.Src(ins.Opcode) == isa.SrcK && isa.Op(ins.Opcode) != isa.ALUEnd {
-			cand = append(cand, i)
+// pick returns the index of the r.Intn(n)-th of p's n instructions that
+// satisfy ok, drawing from r only when n > 0; it returns -1 when none
+// does.
+func pick(r *rand.Rand, p *isa.Program, ok func(*isa.Instruction) bool) int {
+	n := 0
+	for i := range p.Insns {
+		if ok(&p.Insns[i]) {
+			n++
 		}
 	}
-	if len(cand) == 0 {
+	if n == 0 {
+		return -1
+	}
+	k := r.Intn(n)
+	for i := range p.Insns {
+		if ok(&p.Insns[i]) {
+			if k == 0 {
+				return i
+			}
+			k--
+		}
+	}
+	panic("unreachable")
+}
+
+// immTarget: an ALU instruction with an immediate operand, byte swaps
+// excluded.
+func immTarget(ins *isa.Instruction) bool {
+	cls := ins.Class()
+	return (cls == isa.ClassALU || cls == isa.ClassALU64) &&
+		isa.Src(ins.Opcode) == isa.SrcK && isa.Op(ins.Opcode) != isa.ALUEnd
+}
+
+// mutateImm perturbs the immediate of one ALU or store instruction.
+func mutateImm(r *rand.Rand, p *isa.Program) bool {
+	i := pick(r, p, immTarget)
+	if i < 0 {
 		return false
 	}
-	i := cand[r.Intn(len(cand))]
 	ins := &p.Insns[i]
 	switch isa.Op(ins.Opcode) {
 	case isa.ALUDiv, isa.ALUMod:
@@ -90,22 +126,21 @@ func mutateImm(r *rand.Rand, p *isa.Program) bool {
 	return true
 }
 
+// dupTarget: an ALU instruction or a non-atomic store.
+func dupTarget(ins *isa.Instruction) bool {
+	cls := ins.Class()
+	return cls == isa.ClassALU || cls == isa.ClassALU64 ||
+		((cls == isa.ClassST || cls == isa.ClassSTX) && !ins.IsAtomic())
+}
+
 // mutateDup duplicates one non-control-flow instruction in place,
 // patching every affected jump — the paper's "simulating unrolled loops
 // by duplicating adjacent instructions".
 func mutateDup(r *rand.Rand, p *isa.Program) (*isa.Program, bool) {
-	var cand []int
-	for i, ins := range p.Insns {
-		cls := ins.Class()
-		if cls == isa.ClassALU || cls == isa.ClassALU64 ||
-			((cls == isa.ClassST || cls == isa.ClassSTX) && !ins.IsAtomic()) {
-			cand = append(cand, i)
-		}
-	}
-	if len(cand) == 0 {
+	i := pick(r, p, dupTarget)
+	if i < 0 {
 		return p, false
 	}
-	i := cand[r.Intn(len(cand))]
 	q, err := isa.InsertAt(p, i, p.Insns[i])
 	if err != nil {
 		return p, false
@@ -113,18 +148,18 @@ func mutateDup(r *rand.Rand, p *isa.Program) (*isa.Program, bool) {
 	return q, true
 }
 
+// storeTarget: a store of an immediate.
+func storeTarget(ins *isa.Instruction) bool {
+	return ins.Class() == isa.ClassST && isa.Mode(ins.Opcode) == isa.ModeMEM
+}
+
 // mutateStoreValue changes the stored immediate of a ST instruction.
 func mutateStoreValue(r *rand.Rand, p *isa.Program) bool {
-	var cand []int
-	for i, ins := range p.Insns {
-		if ins.Class() == isa.ClassST && isa.Mode(ins.Opcode) == isa.ModeMEM {
-			cand = append(cand, i)
-		}
-	}
-	if len(cand) == 0 {
+	i := pick(r, p, storeTarget)
+	if i < 0 {
 		return false
 	}
-	p.Insns[cand[r.Intn(len(cand))]].Imm = int32(r.Uint32())
+	p.Insns[i].Imm = int32(r.Uint32())
 	return true
 }
 

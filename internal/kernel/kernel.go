@@ -328,11 +328,9 @@ func (k *Kernel) Run(lp *LoadedProg) *runtime.ExecOutcome {
 	}
 	start := time.Now()
 	k.M.Lockdep.Reset()
-	x := runtime.NewExec(k.M, lp.Verified)
-	if k.Cfg.ExecTimeout > 0 {
-		x.SetWatchdog(k.Cfg.ExecTimeout)
-	}
+	x := k.newExec(lp.Verified)
 	ores := oracle.Run(x, lp.Res.States)
+	x.Release()
 	k.OracleChecks += ores.Checks
 	k.OracleNanos += time.Since(start).Nanoseconds()
 	if ores.Violation != nil {
@@ -345,16 +343,24 @@ func (k *Kernel) Run(lp *LoadedProg) *runtime.ExecOutcome {
 	return out
 }
 
+// newExec prepares an execution of p under the kernel's watchdog. Every
+// caller releases it once it has run.
+func (k *Kernel) newExec(p *isa.Program) *runtime.Exec {
+	x := runtime.NewExec(k.M, p)
+	if k.Cfg.ExecTimeout > 0 {
+		x.SetWatchdog(k.Cfg.ExecTimeout)
+	}
+	return x
+}
+
 func (k *Kernel) runOnce(lp *LoadedProg) *runtime.ExecOutcome {
 	k.M.Lockdep.Reset()
 	if tp := lp.Exec.AttachTo; tp != "" && k.M.Trace.Exists(tp) {
 		var last *runtime.ExecOutcome
 		handler := func(depth int) error {
-			x := runtime.NewExec(k.M, lp.Exec)
-			if k.Cfg.ExecTimeout > 0 {
-				x.SetWatchdog(k.Cfg.ExecTimeout)
-			}
+			x := k.newExec(lp.Exec)
 			out := x.Run()
+			x.Release()
 			last = out
 			return out.Err
 		}
@@ -370,11 +376,9 @@ func (k *Kernel) runOnce(lp *LoadedProg) *runtime.ExecOutcome {
 		}
 		return last
 	}
-	x := runtime.NewExec(k.M, lp.Exec)
-	if k.Cfg.ExecTimeout > 0 {
-		x.SetWatchdog(k.Cfg.ExecTimeout)
-	}
+	x := k.newExec(lp.Exec)
 	out := x.Run()
+	x.Release()
 	if out.Err == nil {
 		if viol := k.M.Lockdep.ExitContext("cpu0"); viol != nil {
 			out.Err = viol
@@ -603,12 +607,17 @@ func (k *Kernel) Triage(a *Anomaly, prog *isa.Program) bugs.ID {
 	}
 
 	if prog != nil {
-		base := k.Cfg.Bugs
+		// One copy of the knob set serves every re-verification: each
+		// deletes its knob and puts it back after, so every verification
+		// sees the full set less exactly one knob.
+		var weakened bugs.Set
 		for _, id := range bugs.AllIDs() {
-			if !base.Has(id) {
+			if !k.Cfg.Bugs.Has(id) {
 				continue
 			}
-			weakened := base.Clone()
+			if weakened == nil {
+				weakened = k.Cfg.Bugs.Clone()
+			}
 			delete(weakened, id)
 			cfg := k.VerifierConfig()
 			cfg.Bugs = weakened
@@ -622,7 +631,9 @@ func (k *Kernel) Triage(a *Anomaly, prog *isa.Program) bugs.ID {
 			// every finding. (Cov == nil also gates the cache off, but the
 			// bypass must not depend on that coincidence.)
 			cfg.Cache = nil
-			if _, err := verifier.Verify(prog, cfg); err != nil {
+			_, err := verifier.Verify(prog, cfg)
+			weakened[id] = true
+			if err != nil {
 				return id
 			}
 		}

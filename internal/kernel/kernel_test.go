@@ -123,6 +123,62 @@ func TestBug1EndToEnd(t *testing.T) {
 	}
 }
 
+// TestTriageRemovesOneKnobAtATime: Triage re-verifies with exactly one
+// knob removed each time. Here Bug #1 and CVE-2022-23222 each admit the
+// pointer arithmetic on their own (Bug #1 clears the map value's
+// nullness on the equal edge, the CVE knob allows arithmetic on it
+// anyway), so neither removal alone makes the verifier reject and the
+// finding stays unattributed; removing both would reject it.
+func TestTriageRemovesOneKnobAtATime(t *testing.T) {
+	prog := func(fd int32) *isa.Program {
+		return &isa.Program{
+			Type: isa.ProgTypeRawTracepoint, GPLCompatible: true,
+			Insns: []isa.Instruction{
+				isa.LoadMem(isa.SizeDW, isa.R6, isa.R1, 8), // trusted btf ptr
+				isa.LoadMapFD(isa.R1, fd),
+				isa.Mov64Reg(isa.R2, isa.R10),
+				isa.Alu64Imm(isa.ALUAdd, isa.R2, -8),
+				isa.StoreImm(isa.SizeDW, isa.R10, -8, 0),
+				isa.Call(helpers.MapLookupElem),
+				isa.JumpReg(isa.JNE, isa.R0, isa.R6, 1),
+				isa.Alu64Imm(isa.ALUAdd, isa.R0, 8),
+				isa.Mov64Imm(isa.R0, 0),
+				isa.Exit(),
+			},
+		}
+	}
+	a := &Anomaly{Kind: "kasan:slab-out-of-bounds", Indicator: Indicator1, Err: &kmem.Report{Kind: kmem.ReportOOB}}
+	for _, tc := range []struct {
+		armed bugs.Set
+		want  bugs.ID
+	}{
+		{bugs.Of(bugs.Bug1NullnessProp, bugs.CVE2022_23222), 0},
+		{bugs.Of(bugs.Bug1NullnessProp), bugs.Bug1NullnessProp},
+		{bugs.Of(bugs.CVE2022_23222), bugs.CVE2022_23222},
+	} {
+		k := newKernel(t, tc.armed, true)
+		fd, err := k.CreateMap(maps.Spec{Type: maps.Hash, KeySize: 8, ValueSize: 48, MaxEntries: 4, Name: "h"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := prog(fd)
+		mustLoad(t, k, p)
+		before := k.Cfg.Bugs.Clone()
+		if got := k.Triage(a, p); got != tc.want {
+			t.Errorf("armed %v: triage = %v, want %v", tc.armed, got, tc.want)
+		}
+		if len(k.Cfg.Bugs) != len(before) {
+			t.Errorf("armed %v: Triage changed the kernel's knob set to %v", tc.armed, k.Cfg.Bugs)
+		}
+	}
+	// Neither knob: the verifier rejects the arithmetic.
+	k := newKernel(t, bugs.None(), true)
+	fd, _ := k.CreateMap(maps.Spec{Type: maps.Hash, KeySize: 8, ValueSize: 48, MaxEntries: 4, Name: "h"})
+	if _, err := k.LoadProgram(prog(fd)); err == nil {
+		t.Error("a kernel with neither knob accepted the program")
+	}
+}
+
 func TestBug2EndToEnd(t *testing.T) {
 	prog := &isa.Program{
 		Type: isa.ProgTypeRawTracepoint, GPLCompatible: true,

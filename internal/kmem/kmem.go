@@ -1,6 +1,6 @@
 // Package kmem simulates the kernel's memory state for eBPF execution: a
 // synthetic 64-bit address space with allocation tracking and KASAN-style
-// shadow metadata (redzones, poisoning on free).
+// shadow metadata (redzones, use-after-free on freed objects).
 //
 // The package deliberately reproduces the asymmetry that BVF's oracle
 // depends on. A *checked* access (CheckAccess, as called by the
@@ -104,42 +104,82 @@ func (a *Allocation) End() uint64 { return a.BaseAddr + uint64(a.Size) }
 type Domain struct {
 	next   uint64
 	allocs []*Allocation // sorted by BaseAddr
+	// slab holds the records the next Allocs hand out, made slabSize at
+	// a time.
+	slab []Allocation
+	// free holds freed allocations' bytes by size, for the next Alloc of
+	// that size to zero and reuse. No access reads a freed allocation's
+	// bytes (each tests Freed first), so handing them on is invisible.
+	free map[int][][]byte
 	// SilentCorruptions counts raw accesses that landed outside any
 	// live allocation without faulting — the invisible damage an
 	// uninstrumented bad program does.
 	SilentCorruptions int
 }
 
-// NewDomain returns an empty address space.
+// slabSize is how many allocation records one slab holds. A kernel that
+// is reset often (a minimizer resets one per candidate) pays for each
+// slab's unused tail, so slabs stay small.
+const slabSize = 8
+
+// NewDomain returns an empty address space. Its record list starts with
+// room for a machine's construction (a kernel variable per BTF struct
+// type, then the resource pool's maps: 22 records), which a kernel reset
+// repeats, so a reset-heavy caller such as the minimizer does not pay
+// for the list's first doublings on every reset.
 func NewDomain() *Domain {
-	return &Domain{next: Base}
+	return &Domain{next: Base, allocs: make([]*Allocation, 0, 32)}
 }
 
 // Alloc creates a new allocation of the given size tagged with tag and
-// returns it. Guard redzones are reserved on both sides.
+// returns it, its bytes zeroed. Guard redzones are reserved on both
+// sides. The address space is never reused, so the address depends only
+// on the sizes allocated before, freed or not.
 func (d *Domain) Alloc(size int, tag string) *Allocation {
 	if size < 0 {
 		panic("kmem: negative allocation size")
 	}
-	d.next += Redzone
-	a := &Allocation{
-		BaseAddr: d.next,
-		Size:     size,
-		Data:     make([]byte, size),
-		Tag:      tag,
+	if len(d.slab) == 0 {
+		d.slab = make([]Allocation, slabSize)
 	}
+	a := &d.slab[0]
+	d.slab = d.slab[1:]
+	d.next += Redzone
+	*a = Allocation{BaseAddr: d.next, Size: size, Data: d.bytes(size), Tag: tag}
 	d.next += uint64(size) + Redzone
 	d.allocs = append(d.allocs, a)
 	return a
 }
 
-// Free poisons the allocation. Subsequent checked accesses report
-// use-after-free.
-func (d *Domain) Free(a *Allocation) {
-	a.Freed = true
-	for i := range a.Data {
-		a.Data[i] = 0x6b // slab poison
+// bytes returns size zeroed bytes, reusing a freed allocation's when one
+// of that size is waiting.
+func (d *Domain) bytes(size int) []byte {
+	bufs := d.free[size]
+	if len(bufs) == 0 {
+		return make([]byte, size)
 	}
+	b := bufs[len(bufs)-1]
+	bufs[len(bufs)-1] = nil
+	d.free[size] = bufs[:len(bufs)-1]
+	clear(b)
+	return b
+}
+
+// Free marks the allocation freed: subsequent checked accesses report
+// use-after-free and raw ones read garbage. Its bytes go to the next
+// Alloc of the same size, and its Data becomes nil, so a stray read of
+// the record panics instead of seeing another object's bytes. Freeing
+// twice is a no-op.
+func (d *Domain) Free(a *Allocation) {
+	if a.Freed {
+		return
+	}
+	a.Freed = true
+	if d.free == nil {
+		d.free = make(map[int][][]byte)
+	}
+	d.free[a.Size] = append(d.free[a.Size], a.Data)
+	a.Data = nil
 }
 
 // find returns the allocation containing addr, or nil. It also returns the

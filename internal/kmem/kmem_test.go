@@ -154,6 +154,75 @@ func TestResolve(t *testing.T) {
 	}
 }
 
+// TestFreedBytesReused: an Alloc after a Free of the same size gets the
+// freed bytes, zeroed, at a new address, while the freed record still
+// reads as freed to every access and holds no bytes. A second Free of the
+// record hands nothing on.
+func TestFreedBytesReused(t *testing.T) {
+	d := NewDomain()
+	a := d.Alloc(576, "bpf_stack")
+	if err := d.Store(a.BaseAddr+8, 8, 0x1122334455667788); err != nil {
+		t.Fatal(err)
+	}
+	bytes := &a.Data[0]
+	d.Free(a)
+	if a.Data != nil {
+		t.Errorf("freed record keeps %d bytes", len(a.Data))
+	}
+	b := d.Alloc(576, "bpf_stack")
+	if b.BaseAddr != a.End()+2*Redzone {
+		t.Errorf("second allocation at %#x, want %#x", b.BaseAddr, a.End()+2*Redzone)
+	}
+	if len(b.Data) != 576 || &b.Data[0] != bytes {
+		t.Error("the freed bytes were not reused")
+	}
+	for i, v := range b.Data {
+		if v != 0 {
+			t.Fatalf("reused byte %d = %#x, want 0", i, v)
+		}
+	}
+	if err := d.Store(b.BaseAddr+8, 8, 42); err != nil {
+		t.Fatal(err)
+	}
+	// The freed record: use-after-free, garbage and no resolution.
+	if rep := d.CheckAccess(a.BaseAddr+8, 8, false); rep == nil || rep.Kind != ReportUAF || rep.Tag != "bpf_stack" {
+		t.Errorf("checked read of the freed record = %v, want use-after-free", rep)
+	}
+	before := d.SilentCorruptions
+	if v, err := d.Load(a.BaseAddr+8, 8); err != nil || v != 0xaaaaaaaaaaaaaaaa^(a.BaseAddr+8) {
+		t.Errorf("raw read of the freed record = %#x, %v; want the garbage pattern", v, err)
+	}
+	if d.SilentCorruptions != before+1 {
+		t.Error("raw read of the freed record was not counted")
+	}
+	if got := d.Resolve(a.BaseAddr); got != nil {
+		t.Errorf("Resolve(freed) = %v, want nil", got)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a stray read of the freed record's bytes did not panic")
+			}
+		}()
+		_ = a.Data[8]
+	}()
+	// Freeing twice hands nothing on: the next allocation gets fresh
+	// bytes, not b's.
+	d.Free(a)
+	c := d.Alloc(576, "bpf_stack")
+	if len(c.Data) != 576 || &c.Data[0] == &b.Data[0] {
+		t.Error("a second Free handed bytes on again")
+	}
+	if v, _ := d.Load(b.BaseAddr+8, 8); v != 42 {
+		t.Errorf("live allocation reads %#x after another Alloc, want 42", v)
+	}
+	// Another size does not take freed bytes.
+	d.Free(c)
+	if e := d.Alloc(64, "obj"); len(e.Data) != 64 {
+		t.Errorf("64-byte allocation has %d bytes", len(e.Data))
+	}
+}
+
 func TestManyAllocationsNonOverlapping(t *testing.T) {
 	d := NewDomain()
 	var allocs []*Allocation

@@ -42,7 +42,11 @@ type Exec struct {
 	stacks []*kmem.Allocation // one per live call frame
 	rets   []int              // return addresses (decoded indices)
 	saved  [][5]uint64        // caller R6-R9 + R10 per frame
+	// frames backs stacks until a program nests deeper than its length.
+	frames [2]*kmem.Allocation
 
+	// slots backs both slot tables; it keeps its capacity across reuse.
+	slots  []int32
 	slotOf []int32 // decoded index -> encoded slot
 	// idxOf maps an encoded slot to its decoded index + 1; 0 marks the
 	// second half of an LD_IMM64 (not a valid jump target).
@@ -63,6 +67,10 @@ type Exec struct {
 
 	// hook, when set, is invoked before every interpreted instruction.
 	hook InsnHook
+
+	// released is set while the execution waits on its machine's free
+	// list, so a second Release does not put it there twice.
+	released bool
 }
 
 // InsnHook observes the interpreter immediately before each instruction
@@ -100,20 +108,32 @@ type rbReservation struct {
 }
 
 // NewExec prepares an execution of prog on m. The context buffer and
-// packet are freshly allocated so each run sees clean shadow state.
+// packet are freshly allocated so each run sees clean shadow state. It
+// reuses an execution Release handed back to m, when there is one.
 func NewExec(m *Machine, prog *isa.Program) *Exec {
-	x := &Exec{
-		M:      m,
-		Prog:   prog,
-		limit:  DefaultStepLimit,
-		ctxCtx: "cpu0",
+	var x *Exec
+	if n := len(m.execs); n > 0 {
+		x = m.execs[n-1]
+		m.execs[n-1] = nil
+		m.execs = m.execs[:n-1]
+		x.released = false
+	} else {
+		x = &Exec{}
+		x.stacks = x.frames[:0]
 	}
+	x.M = m
+	x.Prog = prog
+	x.limit = DefaultStepLimit
+	x.ctxCtx = "cpu0"
 	// One incremental pass builds both slot tables (the old per-insn
 	// SlotOf calls rescanned the program, making setup quadratic). Both
 	// tables share one backing allocation: the worst case is two slots
 	// per instruction, so len(prog.Insns)*3 covers slotOf plus idxOf.
 	n := len(prog.Insns)
-	buf := make([]int32, n*3)
+	if cap(x.slots) < n*3 {
+		x.slots = make([]int32, n*3)
+	}
+	buf := x.slots[:n*3]
 	x.slotOf = buf[:n:n]
 	slot := int32(0)
 	for i := range prog.Insns {
@@ -124,10 +144,37 @@ func NewExec(m *Machine, prog *isa.Program) *Exec {
 		}
 	}
 	x.idxOf = buf[n : n+int(slot)]
+	clear(x.idxOf)
 	for i := range prog.Insns {
 		x.idxOf[x.slotOf[i]] = int32(i) + 1
 	}
 	return x
+}
+
+// Release hands a finished execution back to its machine, for the next
+// NewExec on it to reuse with the capacity its tables and stacks have
+// grown. It drops every pointer the execution holds into the program and
+// the machine's memory; x must not be used afterwards. Releasing twice is
+// a no-op. Executions nest (a tail call or a tracepoint a helper fires
+// runs inside its caller) and each is released when it finishes, so the
+// innermost goes back first and a running execution is never reused.
+func (x *Exec) Release() {
+	if x.released {
+		return
+	}
+	m := x.M
+	clear(x.stacks[:cap(x.stacks)])
+	clear(x.reservations)
+	*x = Exec{
+		stacks:       x.stacks[:0],
+		rets:         x.rets[:0],
+		saved:        x.saved[:0],
+		slots:        x.slots,
+		reservations: x.reservations,
+		henv:         x.henv,
+		released:     true,
+	}
+	m.execs = append(m.execs, x)
 }
 
 // SetStepLimit overrides the instruction budget.
@@ -711,6 +758,7 @@ func (x *Exec) execTailCall(pc int, ins isa.Instruction) (int, bool, error) {
 	sub.watchdog = x.watchdog
 	sub.deadline = x.deadline
 	out := sub.Run()
+	sub.Release()
 	x.steps += out.Steps
 	if out.Err != nil {
 		return 0, false, out.Err
@@ -763,23 +811,26 @@ var _ helpers.Env = (*execEnv)(nil)
 
 func (e *execEnv) MapByAddr(addr uint64) *maps.Map { return e.x.M.MapByAddr(addr) }
 
+// ReadMem reads size bytes in 8-byte checked loads. The size comes from
+// a program register, which a wrongly accepted program may hold at up to
+// 2^31-1, so the result grows only as its loads succeed: the first one
+// that fails ends the read before the buffer outgrows what was read. The
+// first buffer is one BPF stack's size, so a read from the stack never
+// grows it.
 func (e *execEnv) ReadMem(addr uint64, size int) ([]byte, error) {
 	if size < 0 {
 		return nil, &kmem.Report{Kind: kmem.ReportWild, Addr: addr, Size: size}
 	}
-	out := make([]byte, size)
+	out := make([]byte, 0, min(size, isa.StackSize))
 	for i := 0; i < size; i += 8 {
-		n := size - i
-		if n > 8 {
-			n = 8
-		}
+		n := min(size-i, 8)
 		v, rep := e.x.M.Dom.LoadChecked(addr+uint64(i), n)
 		if rep != nil {
 			return nil, rep
 		}
 		var b [8]byte
 		binary.LittleEndian.PutUint64(b[:], v)
-		copy(out[i:i+n], b[:n])
+		out = append(out, b[:n]...)
 	}
 	return out, nil
 }

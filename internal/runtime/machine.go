@@ -50,6 +50,10 @@ type Machine struct {
 
 	rng    uint64
 	timeNS uint64
+
+	// execs holds released executions for NewExec to reuse. They hold
+	// nothing of the memory domain, so they outlive Reset.
+	execs []*Exec
 }
 
 // NewMachine builds a fresh simulated kernel with the given bug knobs.

@@ -414,7 +414,9 @@ func BenchmarkInterpreter(b *testing.B) {
 	}}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		out := NewExec(m, p).Run()
+		x := NewExec(m, p)
+		out := x.Run()
+		x.Release() // as the kernel does after every run
 		if out.Err != nil {
 			b.Fatal(out.Err)
 		}

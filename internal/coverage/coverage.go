@@ -14,15 +14,6 @@ import (
 // Site is a stable identifier for one branch site in the instrumented code.
 type Site uint64
 
-// SiteCount is one covered site with its hit count, the unit of
-// deterministic coverage replay: a verdict cache stores the exact
-// (site, count) profile a verification produced and AddSites replays it
-// on a hit, so cached and scratch runs build bit-identical maps.
-type SiteCount struct {
-	Site  Site
-	Count uint64
-}
-
 // FNV-1a parameters, inlined so SiteOf never allocates a hash.Hash64.
 const (
 	fnvOffset64 = 14695981039346656037
@@ -35,18 +26,34 @@ const (
 // instrumentation points may call it per hit, though precomputing the
 // Site at package init is cheaper still.
 func SiteOf(loc string) Site {
+	return Site(fold(fnvOffset64, loc))
+}
+
+// SiteOfParts is SiteOf of the concatenated parts, without building the
+// concatenation: SiteOfParts("call:", name) == SiteOf("call:" + name).
+// It names a dynamic site such as "mem:ctx_field:<type>:<field>" from
+// its pieces and allocates nothing.
+func SiteOfParts(parts ...string) Site {
 	h := uint64(fnvOffset64)
-	for i := 0; i < len(loc); i++ {
-		h ^= uint64(loc[i])
-		h *= fnvPrime64
+	for _, p := range parts {
+		h = fold(h, p)
 	}
 	return Site(h)
+}
+
+// fold continues an FNV-1a hash h over the bytes of s.
+func fold(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime64
+	}
+	return h
 }
 
 // Map records the set of covered sites. A Map is safe for concurrent use.
 type Map struct {
 	mu sync.RWMutex
-	t  table // hit counts
+	t  table
 }
 
 // NewMap returns an empty coverage map.
@@ -54,17 +61,17 @@ func NewMap() *Map {
 	return &Map{}
 }
 
-// Hit records one execution of the given site.
+// Hit records that the given site was reached.
 func (m *Map) Hit(s Site) {
 	if m == nil {
 		return
 	}
 	m.mu.Lock()
-	m.t.add(s, 1)
+	m.t.add(s)
 	m.mu.Unlock()
 }
 
-// HitLoc records one execution of the site named by loc.
+// HitLoc records that the site named by loc was reached.
 func (m *Map) HitLoc(loc string) { m.Hit(SiteOf(loc)) }
 
 // Count returns the number of distinct covered sites.
@@ -84,26 +91,14 @@ func (m *Map) Covered(s Site) bool {
 	}
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	_, ok := m.t.get(s)
-	return ok
-}
-
-// Hits returns the hit count of s.
-func (m *Map) Hits(s Site) uint64 {
-	if m == nil {
-		return 0
-	}
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	n, _ := m.t.get(s)
-	return n
+	return m.t.has(s)
 }
 
 // Merge adds every site of other into m and returns the number of sites
 // that were new to m. Fuzzing engines use the return value as the "new
 // coverage" feedback signal.
 //
-// Merge never holds both maps' locks at once: other's pairs are copied
+// Merge never holds both maps' locks at once: other's sites are copied
 // under its read lock first, then folded into m under m's write lock. Two
 // goroutines may therefore merge the same pair of maps in opposite
 // directions concurrently without deadlocking. A self-merge is a no-op.
@@ -112,24 +107,24 @@ func (m *Map) Merge(other *Map) int {
 		return 0
 	}
 	other.mu.RLock()
-	snap := other.t.appendPairs(nil)
+	snap := other.t.appendSites(nil)
 	other.mu.RUnlock()
 	return m.AddSites(snap)
 }
 
-// AddSites folds a recorded (site, count) profile into m under one lock
-// acquisition and returns how many sites were new to m — exactly the
-// effect of replaying every hit individually. Verdict-cache hits use it
-// to reproduce a memoized verification's coverage without re-verifying.
-func (m *Map) AddSites(sites []SiteCount) int {
+// AddSites adds a recorded site set to m under one lock acquisition and
+// returns how many sites were new to m — exactly the effect of replaying
+// every hit individually. Verdict-cache hits use it to reproduce a
+// memoized verification's coverage without re-verifying.
+func (m *Map) AddSites(sites []Site) int {
 	if m == nil || len(sites) == 0 {
 		return 0
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	fresh := 0
-	for _, sc := range sites {
-		if m.t.add(sc.Site, sc.Count) {
+	for _, s := range sites {
+		if m.t.add(s) {
 			fresh++
 		}
 	}
@@ -151,21 +146,23 @@ func (m *Map) Snapshot() []Site {
 	return m.t.sortedSites()
 }
 
-// MarshalBinary serializes the map as a deterministic (sorted) sequence of
-// little-endian site/count pairs, so checkpointed campaigns can persist
-// coverage. It implements encoding.BinaryMarshaler, which encoding/gob
-// picks up automatically.
+// MarshalBinary serializes the map as a little-endian pair count followed
+// by one (site, count) pair per site in ascending site order, so
+// checkpointed campaigns can persist coverage. Every count is 1: the map
+// keeps no counts, and the layout is the one earlier versions wrote with
+// hit counts, so either side reads the other's bytes. It implements
+// encoding.BinaryMarshaler, which encoding/gob picks up automatically.
 func (m *Map) MarshalBinary() ([]byte, error) {
 	if m == nil {
 		return nil, nil
 	}
-	// One read lock for the whole walk, so the serialized sites and
-	// counts are from one instant even while other goroutines hit and
-	// merge (checkpoint-while-running).
+	// One read lock for the whole walk, so the serialized sites are from
+	// one instant even while other goroutines hit and merge
+	// (checkpoint-while-running).
 	m.mu.RLock()
-	pairs := m.t.sortedPairs()
+	sites := m.t.sortedSites()
 	m.mu.RUnlock()
-	out := make([]byte, 0, 8+16*len(pairs))
+	out := make([]byte, 0, 8+16*len(sites))
 	var b [8]byte
 	put := func(v uint64) {
 		for i := 0; i < 8; i++ {
@@ -173,18 +170,20 @@ func (m *Map) MarshalBinary() ([]byte, error) {
 		}
 		out = append(out, b[:]...)
 	}
-	put(uint64(len(pairs)))
-	for _, p := range pairs {
-		put(uint64(p.Site))
-		put(p.Count)
+	put(uint64(len(sites)))
+	for _, s := range sites {
+		put(uint64(s))
+		put(1)
 	}
 	return out, nil
 }
 
 // UnmarshalBinary restores a map serialized by MarshalBinary, replacing any
-// existing contents. Malformed input is an error and leaves m unchanged:
-// the pair count is checked against the data's length before anything is
-// allocated or read, so a hostile count cannot index past the buffer.
+// existing contents. Each pair's count word is ignored, so a site recorded
+// with count 0 is covered. Malformed input is an error and leaves m
+// unchanged: the pair count is checked against the data's length before
+// anything is allocated or read, so a hostile count cannot index past the
+// buffer.
 func (m *Map) UnmarshalBinary(data []byte) error {
 	var t table
 	if len(data) > 0 {
@@ -205,7 +204,7 @@ func (m *Map) UnmarshalBinary(data []byte) error {
 			return errors.New("coverage: serialized map length mismatch")
 		}
 		for off := 8; off < len(data); off += 16 {
-			t.set(Site(get(off)), get(off+8))
+			t.add(Site(get(off)))
 		}
 	}
 	m.mu.Lock()
@@ -216,7 +215,7 @@ func (m *Map) UnmarshalBinary(data []byte) error {
 
 // Signature returns a 64-bit FNV-1a digest of the covered-site set, in
 // sorted order: equal site sets give equal signatures, whatever their
-// counts or insertion order.
+// insertion order.
 func (m *Map) Signature() uint64 {
 	m.mu.RLock()
 	sites := m.t.sortedSites()

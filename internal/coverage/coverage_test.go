@@ -1,7 +1,9 @@
 package coverage
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -18,9 +20,6 @@ func TestHitAndCount(t *testing.T) {
 	m.HitLoc("check_mem:stack")
 	if got := m.Count(); got != 2 {
 		t.Errorf("Count = %d, want 2", got)
-	}
-	if m.Hits(s) != 2 {
-		t.Errorf("Hits = %d, want 2", m.Hits(s))
 	}
 	if !m.Covered(s) || m.Covered(SiteOf("never")) {
 		t.Error("Covered wrong")
@@ -93,7 +92,7 @@ func TestReset(t *testing.T) {
 func TestNilMapSafe(t *testing.T) {
 	var m *Map
 	m.Hit(1) // must not panic
-	if m.Count() != 0 || m.Covered(1) || m.Hits(1) != 0 {
+	if m.Count() != 0 || m.Covered(1) {
 		t.Error("nil map misbehaved")
 	}
 	real := NewMap()
@@ -167,7 +166,7 @@ func TestMergeConcurrentBidirectional(t *testing.T) {
 }
 
 // TestMergeSelfIsNoop: merging a map into itself must neither deadlock
-// nor report fresh sites nor inflate hit counts.
+// nor report fresh sites nor change the site set.
 func TestMergeSelfIsNoop(t *testing.T) {
 	m := NewMap()
 	s := SiteOf("self")
@@ -176,8 +175,8 @@ func TestMergeSelfIsNoop(t *testing.T) {
 	if fresh := m.Merge(m); fresh != 0 {
 		t.Errorf("self-merge fresh = %d, want 0", fresh)
 	}
-	if m.Hits(s) != 2 {
-		t.Errorf("self-merge changed hit count to %d", m.Hits(s))
+	if m.Count() != 1 || !m.Covered(s) {
+		t.Errorf("self-merge left %d sites, covered %v; want 1, true", m.Count(), m.Covered(s))
 	}
 }
 
@@ -186,5 +185,69 @@ func BenchmarkHit(b *testing.B) {
 	s := SiteOf("bench")
 	for i := 0; i < b.N; i++ {
 		m.Hit(s)
+	}
+}
+
+// TestUnmarshalIgnoresCountWord: a blob in the layout that once carried
+// hit counts decodes to its site set whatever the count words say (0, 1
+// or 7), and MarshalBinary writes that layout back, 8+16n bytes with
+// every count word 1.
+func TestUnmarshalIgnoresCountWord(t *testing.T) {
+	sites := []Site{0, 3, SiteOf("exit:main"), 1 << 63}
+	slices.Sort(sites)
+	for _, counts := range [][]uint64{{0, 0, 0, 0}, {1, 1, 1, 1}, {7, 7, 7, 7}, {0, 1, 7, 1}} {
+		blob := binary.LittleEndian.AppendUint64(nil, uint64(len(sites)))
+		for i, s := range sites {
+			blob = binary.LittleEndian.AppendUint64(blob, uint64(s))
+			blob = binary.LittleEndian.AppendUint64(blob, counts[i])
+		}
+		m := NewMap()
+		if err := m.UnmarshalBinary(blob); err != nil {
+			t.Fatalf("counts %v: %v", counts, err)
+		}
+		if got := m.Snapshot(); !slices.Equal(got, sites) {
+			t.Fatalf("counts %v: decoded %v, want %v", counts, got, sites)
+		}
+		out, err := m.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out) != 8+16*len(sites) || binary.LittleEndian.Uint64(out) != uint64(len(sites)) {
+			t.Fatalf("counts %v: encoded %d bytes with pair count %d, want %d bytes, %d",
+				counts, len(out), binary.LittleEndian.Uint64(out), 8+16*len(sites), len(sites))
+		}
+		for i, s := range sites {
+			pair := out[8+16*i:]
+			if Site(binary.LittleEndian.Uint64(pair)) != s || binary.LittleEndian.Uint64(pair[8:]) != 1 {
+				t.Fatalf("counts %v: pair %d is % x, want site %#x with count word 1", counts, i, pair[:16], s)
+			}
+		}
+	}
+}
+
+// TestSiteOfParts: naming a site by parts gives SiteOf of their
+// concatenation, however the name is split, and allocates nothing.
+func TestSiteOfParts(t *testing.T) {
+	for _, tc := range []struct {
+		parts []string
+		name  string
+	}{
+		{nil, ""},
+		{[]string{""}, ""},
+		{[]string{"exit:main"}, "exit:main"},
+		{[]string{"call:", "map_lookup_elem"}, "call:map_lookup_elem"},
+		{[]string{"mem:map_value:", "array", ":", "8", ":", "true"}, "mem:map_value:array:8:true"},
+		{[]string{"", "jmp:", "", "jeq:both"}, "jmp:jeq:both"},
+	} {
+		if got, want := SiteOfParts(tc.parts...), SiteOf(tc.name); got != want {
+			t.Errorf("SiteOfParts(%q) = %#x, want SiteOf(%q) = %#x", tc.parts, got, tc.name, want)
+		}
+	}
+	if SiteOfParts("ab", "c") == SiteOfParts("c", "ab") {
+		t.Error("SiteOfParts ignores the order of its parts")
+	}
+	name := fmt.Sprint("field", 3)
+	if n := testing.AllocsPerRun(100, func() { _ = SiteOfParts("mem:ctx_field:", "xdp", ":", name) }); n != 0 {
+		t.Errorf("SiteOfParts allocates %.0f times per call", n)
 	}
 }

@@ -1,10 +1,10 @@
 package coverage
 
 // Local is an unsynchronized per-run coverage recorder. One verification
-// (or one campaign iteration) records every hit into its Local without
-// touching a lock, then folds the whole batch into the shared Map with a
-// single FlushTo — one lock acquisition instead of one per instrumented
-// site. A Local is NOT safe for concurrent use; ownership follows the run
+// (or one campaign iteration) records every site it reaches into its
+// Local without touching a lock, then adds the whole batch to the shared
+// Map with a single FlushTo — one lock acquisition instead of one per
+// instrumented site. A Local is NOT safe for concurrent use; ownership follows the run
 // that records into it.
 type Local struct {
 	t table
@@ -15,15 +15,15 @@ func NewLocal() *Local {
 	return &Local{}
 }
 
-// Hit records one execution of the given site.
+// Hit records that the given site was reached.
 func (l *Local) Hit(s Site) {
 	if l == nil {
 		return
 	}
-	l.t.add(s, 1)
+	l.t.add(s)
 }
 
-// HitLoc records one execution of the site named by loc.
+// HitLoc records that the site named by loc was reached.
 func (l *Local) HitLoc(loc string) { l.Hit(SiteOf(loc)) }
 
 // Len returns the number of distinct recorded sites.
@@ -34,18 +34,17 @@ func (l *Local) Len() int {
 	return len(l.t.used)
 }
 
-// Export returns the recorded (site, count) profile in deterministic
-// (sorted-by-site) order without clearing the recorder. Verdict caches
-// capture it at the end of a verification so a later hit can replay the
-// exact profile with Map.AddSites.
-func (l *Local) Export() []SiteCount {
+// Export returns the recorded sites in ascending order without clearing
+// the recorder. Verdict caches capture them at the end of a verification
+// so a later hit can replay the same site set with Map.AddSites.
+func (l *Local) Export() []Site {
 	if l == nil {
 		return nil
 	}
-	return l.t.sortedPairs()
+	return l.t.sortedSites()
 }
 
-// FlushTo folds every recorded hit into m under one lock acquisition and
+// FlushTo adds every recorded site to m under one lock acquisition and
 // clears the recorder for reuse. It returns the number of sites that were
 // new to m (the fuzzing "new coverage" feedback signal), exactly as if
 // every hit had been recorded on m directly.
@@ -57,8 +56,7 @@ func (l *Local) FlushTo(m *Map) int {
 	if m != nil {
 		m.mu.Lock()
 		for _, i := range l.t.used {
-			e := &l.t.slots[i]
-			if m.t.add(e.site, e.n) {
+			if m.t.add(l.t.slots[i].site) {
 				fresh++
 			}
 		}

@@ -26,8 +26,8 @@ func TestLocalFlushMatchesDirectHits(t *testing.T) {
 	if direct.Signature() != viaLocal.Signature() {
 		t.Fatalf("signature mismatch: direct=%#x local=%#x", direct.Signature(), viaLocal.Signature())
 	}
-	if got := viaLocal.Hits(SiteOf("jmp:jeq:both")); got != 2 {
-		t.Fatalf("hit count through Local = %d, want 2", got)
+	if !viaLocal.Covered(SiteOf("jmp:jeq:both")) || viaLocal.Count() != 3 {
+		t.Fatalf("Local flushed %d sites, want 3 with jmp:jeq:both", viaLocal.Count())
 	}
 
 	// Re-flushing the same sites must report zero fresh.
@@ -185,7 +185,13 @@ func TestLocalFlushRace(t *testing.T) {
 	}()
 	wg.Wait()
 
-	if got := shared.Hits(SiteOf("exit:main")); got != 4*200 {
-		t.Fatalf("exit:main hits = %d, want %d", got, 4*200)
+	// 97 site:%d residues, exit:main, and 13 sites from each shard.
+	if got, want := shared.Count(), 97+1+2*13; got != want {
+		t.Fatalf("shared map holds %d sites, want %d", got, want)
+	}
+	for _, loc := range []string{"exit:main", "site:0", "site:96", "shard:0:12", "shard:1:0"} {
+		if !shared.Covered(SiteOf(loc)) {
+			t.Fatalf("%s not covered", loc)
+		}
 	}
 }

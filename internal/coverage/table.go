@@ -2,16 +2,14 @@ package coverage
 
 import "slices"
 
-// table is the open-addressing Site→count table behind both Local and
-// Map: linear probing on a multiplicative hash of the Site, plus the list
-// of occupied slots in insertion order. A hit is one probe sequence, and
-// flushing, exporting and clearing walk only the occupied slots, never the
-// whole table, so their cost follows the sites a run hit rather than the
+// table is the open-addressing site set behind both Local and Map: linear
+// probing on a multiplicative hash of the Site, plus the list of occupied
+// slots in insertion order. A hit is one probe sequence, and flushing,
+// exporting and clearing walk only the occupied slots, never the whole
+// table, so their cost follows the sites a run hit rather than the
 // table's capacity.
 //
-// Occupancy is an explicit flag: Site 0 is an ordinary key, and a site
-// may be present with a zero count (UnmarshalBinary accepts one), which
-// must still count as covered.
+// Occupancy is an explicit flag: Site 0 is an ordinary key.
 type table struct {
 	slots []slot
 	// used lists the indices of the occupied slots, in insertion order.
@@ -22,7 +20,6 @@ type table struct {
 
 type slot struct {
 	site Site
-	n    uint64
 	full bool
 }
 
@@ -48,52 +45,32 @@ func (t *table) find(s Site) (int, bool) {
 	}
 }
 
-// add adds n to s's count, inserting s when absent, and reports whether
-// s was new.
-func (t *table) add(s Site, n uint64) bool {
+// add inserts s when absent and reports whether s was new. One more site
+// that would take the table past half full first grows it.
+func (t *table) add(s Site) bool {
 	if t.slots == nil {
 		t.grow()
 	}
 	i, ok := t.find(s)
 	if ok {
-		t.slots[i].n += n
 		return false
 	}
-	t.insert(i, s, n)
-	return true
-}
-
-// set stores n as s's count, inserting s when absent.
-func (t *table) set(s Site, n uint64) {
-	if t.slots == nil {
-		t.grow()
-	}
-	i, ok := t.find(s)
-	if ok {
-		t.slots[i].n = n
-		return
-	}
-	t.insert(i, s, n)
-}
-
-// insert places s in free slot i, first growing the table (and probing
-// again) when one more site would take it past half full.
-func (t *table) insert(i int, s Site, n uint64) {
 	if 2*(len(t.used)+1) > len(t.slots) {
 		t.grow()
 		i, _ = t.find(s)
 	}
-	t.slots[i] = slot{site: s, n: n, full: true}
+	t.slots[i] = slot{site: s, full: true}
 	t.used = append(t.used, uint32(i))
+	return true
 }
 
-// get returns s's count and whether s is present.
-func (t *table) get(s Site) (uint64, bool) {
+// has reports whether s is present.
+func (t *table) has(s Site) bool {
 	if t.slots == nil {
-		return 0, false
+		return false
 	}
-	i, ok := t.find(s)
-	return t.slots[i].n, ok
+	_, ok := t.find(s)
+	return ok
 }
 
 // grow doubles the table (or allocates its first minSlots) and re-inserts
@@ -125,40 +102,21 @@ func (t *table) clear() {
 	t.used = t.used[:0]
 }
 
-// appendPairs appends every (site, count) pair to dst in insertion order.
-func (t *table) appendPairs(dst []SiteCount) []SiteCount {
+// appendSites appends every site to dst in insertion order.
+func (t *table) appendSites(dst []Site) []Site {
 	for _, i := range t.used {
-		e := &t.slots[i]
-		dst = append(dst, SiteCount{Site: e.site, Count: e.n})
+		dst = append(dst, t.slots[i].site)
 	}
 	return dst
 }
 
-// sortedPairs returns every (site, count) pair in ascending site order,
-// nil when the table is empty.
-func (t *table) sortedPairs() []SiteCount {
+// sortedSites returns the sites in ascending order, nil when the table
+// is empty.
+func (t *table) sortedSites() []Site {
 	if len(t.used) == 0 {
 		return nil
 	}
-	out := t.appendPairs(make([]SiteCount, 0, len(t.used)))
-	slices.SortFunc(out, func(a, b SiteCount) int {
-		switch {
-		case a.Site < b.Site:
-			return -1
-		case a.Site > b.Site:
-			return 1
-		}
-		return 0
-	})
-	return out
-}
-
-// sortedSites returns the present sites in ascending order.
-func (t *table) sortedSites() []Site {
-	out := make([]Site, 0, len(t.used))
-	for _, i := range t.used {
-		out = append(out, t.slots[i].site)
-	}
+	out := t.appendSites(make([]Site, 0, len(t.used)))
 	slices.Sort(out)
 	return out
 }

@@ -10,55 +10,42 @@ import (
 	"testing"
 )
 
-// refMap and refLocal are the Go-map implementations that Map and Local
-// replaced with the open-addressing table, kept as the reference
-// FuzzSiteTable compares against. Only UnmarshalBinary differs from the
-// original: it bounds the pair count (the original indexed past the
-// buffer on a count whose 16*n wrapped), which no well-formed input can
-// tell apart.
+// refMap and refLocal are Go-map site sets, the reference FuzzSiteTable
+// compares Map and Local against. Their serialized form is Map's: a pair
+// count, then each site in ascending order with the count word 1, and a
+// decode ignores the count word. UnmarshalBinary bounds the pair count
+// before it reads, as Map's does.
 type refMap struct {
-	sites map[Site]uint64
+	sites map[Site]bool
 }
 
-func newRefMap() *refMap { return &refMap{sites: make(map[Site]uint64)} }
+func newRefMap() *refMap { return &refMap{sites: make(map[Site]bool)} }
 
-func (m *refMap) Hit(s Site) { m.sites[s]++ }
+func (m *refMap) Hit(s Site) { m.sites[s] = true }
 
 func (m *refMap) Count() int { return len(m.sites) }
 
-func (m *refMap) Covered(s Site) bool {
-	_, ok := m.sites[s]
-	return ok
-}
-
-func (m *refMap) Hits(s Site) uint64 { return m.sites[s] }
+func (m *refMap) Covered(s Site) bool { return m.sites[s] }
 
 func (m *refMap) Merge(other *refMap) int {
 	if m == other {
 		return 0
 	}
+	return m.AddSites(other.Snapshot())
+}
+
+func (m *refMap) AddSites(sites []Site) int {
 	fresh := 0
-	for s, n := range other.sites {
-		if _, ok := m.sites[s]; !ok {
+	for _, s := range sites {
+		if !m.sites[s] {
 			fresh++
 		}
-		m.sites[s] += n
+		m.sites[s] = true
 	}
 	return fresh
 }
 
-func (m *refMap) AddSites(sites []SiteCount) int {
-	fresh := 0
-	for _, sc := range sites {
-		if _, ok := m.sites[sc.Site]; !ok {
-			fresh++
-		}
-		m.sites[sc.Site] += sc.Count
-	}
-	return fresh
-}
-
-func (m *refMap) Reset() { m.sites = make(map[Site]uint64) }
+func (m *refMap) Reset() { m.sites = make(map[Site]bool) }
 
 func (m *refMap) Snapshot() []Site {
 	out := make([]Site, 0, len(m.sites))
@@ -74,14 +61,14 @@ func (m *refMap) MarshalBinary() []byte {
 	out := binary.LittleEndian.AppendUint64(nil, uint64(len(sites)))
 	for _, s := range sites {
 		out = binary.LittleEndian.AppendUint64(out, uint64(s))
-		out = binary.LittleEndian.AppendUint64(out, m.sites[s])
+		out = binary.LittleEndian.AppendUint64(out, 1)
 	}
 	return out
 }
 
 func (m *refMap) UnmarshalBinary(data []byte) error {
 	if len(data) == 0 {
-		m.sites = make(map[Site]uint64)
+		m.sites = make(map[Site]bool)
 		return nil
 	}
 	if len(data) < 8 {
@@ -91,10 +78,9 @@ func (m *refMap) UnmarshalBinary(data []byte) error {
 	if n > uint64(len(data)-8)/16 || len(data) != 8+16*int(n) {
 		return errors.New("length mismatch")
 	}
-	sites := make(map[Site]uint64, n)
+	sites := make(map[Site]bool, n)
 	for i := 0; i < int(n); i++ {
-		off := 8 + 16*i
-		sites[Site(binary.LittleEndian.Uint64(data[off:]))] = binary.LittleEndian.Uint64(data[off+8:])
+		sites[Site(binary.LittleEndian.Uint64(data[8+16*i:]))] = true
 	}
 	m.sites = sites
 	return nil
@@ -113,38 +99,28 @@ func (m *refMap) Signature() uint64 {
 }
 
 type refLocal struct {
-	sites map[Site]uint64
+	sites refMap
 }
 
-func newRefLocal() *refLocal { return &refLocal{sites: make(map[Site]uint64)} }
+func newRefLocal() *refLocal { return &refLocal{sites: *newRefMap()} }
 
-func (l *refLocal) Hit(s Site) { l.sites[s]++ }
+func (l *refLocal) Hit(s Site) { l.sites.Hit(s) }
 
-func (l *refLocal) Len() int { return len(l.sites) }
+func (l *refLocal) Len() int { return l.sites.Count() }
 
-func (l *refLocal) Export() []SiteCount {
-	if len(l.sites) == 0 {
+func (l *refLocal) Export() []Site {
+	if l.sites.Count() == 0 {
 		return nil
 	}
-	out := make([]SiteCount, 0, len(l.sites))
-	for s, n := range l.sites {
-		out = append(out, SiteCount{Site: s, Count: n})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Site < out[j].Site })
-	return out
+	return l.sites.Snapshot()
 }
 
 func (l *refLocal) FlushTo(m *refMap) int {
 	fresh := 0
 	if m != nil {
-		for s, n := range l.sites {
-			if _, ok := m.sites[s]; !ok {
-				fresh++
-			}
-			m.sites[s] += n
-		}
+		fresh = m.AddSites(l.sites.Snapshot())
 	}
-	l.sites = make(map[Site]uint64)
+	l.sites.Reset()
 	return fresh
 }
 
@@ -185,11 +161,11 @@ func (o *siteTableOps) site() Site {
 	return Site(o.u64())
 }
 
-// count draws a small count, zero included.
+// count draws a small count word, zero included.
 func (o *siteTableOps) count() uint64 { return uint64(o.byte() % 4) }
 
-// encoding draws a well-formed serialized map (duplicate sites and zero
-// counts included), or a truncated one.
+// encoding draws a well-formed serialized map (duplicate sites and count
+// words other than 1 included), or a truncated one.
 func (o *siteTableOps) encoding() []byte {
 	n := int(o.byte() % 12)
 	out := binary.LittleEndian.AppendUint64(nil, uint64(n))
@@ -206,10 +182,9 @@ func (o *siteTableOps) encoding() []byte {
 // FuzzSiteTable runs random sequences of Hit, FlushTo, Merge, AddSites,
 // Reset, MarshalBinary and UnmarshalBinary on Map and Local and on the
 // Go-map reference, and after every step requires equal fresh counts,
-// Count, Hits, Snapshot, Signature, MarshalBinary bytes, Len and Export.
-// Zero counts come in through AddSites and UnmarshalBinary: a site
-// present with count 0 is covered, so occupancy must not be read from
-// the count.
+// Count, Covered, Snapshot, Signature, MarshalBinary bytes, Len and
+// Export. UnmarshalBinary sees count words of 0 to 3: each site is
+// covered whatever its count word says.
 func FuzzSiteTable(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 0, 0, 2, 0})
 	f.Add([]byte{4, 0, 5, 0, 0, 7, 1, 6, 0, 1})
@@ -253,9 +228,9 @@ func FuzzSiteTable(f *testing.F) {
 					t.Fatalf("step %d %s: fresh %d, want %d", step, what, got, want)
 				}
 			case 4:
-				var sites []SiteCount
+				var sites []Site
 				for n := o.byte() % 6; n > 0; n-- {
-					sites = append(sites, SiteCount{Site: o.site(), Count: o.count()})
+					sites = append(sites, o.site())
 				}
 				what = fmt.Sprintf("map %d AddSites(%v)", k, sites)
 				if got, want := maps[k].AddSites(sites), refs[k].AddSites(sites); got != want {
@@ -308,8 +283,8 @@ func mapDiff(m *Map, r *refMap) string {
 		return fmt.Sprintf("Snapshot %v, want %v", snap, r.Snapshot())
 	}
 	for _, s := range snap {
-		if !m.Covered(s) || m.Hits(s) != r.Hits(s) {
-			return fmt.Sprintf("site %#x: covered %v hits %d, want true %d", s, m.Covered(s), m.Hits(s), r.Hits(s))
+		if !m.Covered(s) {
+			return fmt.Sprintf("site %#x in Snapshot is not Covered", s)
 		}
 	}
 	if m.Covered(Site(0)) != r.Covered(Site(0)) {

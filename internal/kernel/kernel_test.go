@@ -1032,3 +1032,40 @@ func TestOracleClaimTableHandoff(t *testing.T) {
 		t.Errorf("Run(B) after Triage checked %d claims, want %d", n, nB)
 	}
 }
+
+// TestProbeReadKernelOddTail: bpf_probe_read_kernel of 13 bytes copies
+// 13 bytes, 8 and then a 5-byte tail, and leaves the next 3 alone. The
+// program returns 0 when the stack holds the first 13 bytes of pt_regs
+// followed by the zeros it stored.
+func TestProbeReadKernelOddTail(t *testing.T) {
+	k := newKernel(t, bugs.None(), true)
+	lp := mustLoad(t, k, &isa.Program{
+		Type: isa.ProgTypeKprobe, GPLCompatible: true,
+		Insns: []isa.Instruction{
+			isa.Mov64Reg(isa.R6, isa.R1),
+			isa.StoreImm(isa.SizeDW, isa.R10, -16, 0),
+			isa.StoreImm(isa.SizeDW, isa.R10, -8, 0),
+			isa.Mov64Reg(isa.R1, isa.R10),
+			isa.Alu64Imm(isa.ALUAdd, isa.R1, -16),
+			isa.Mov64Imm(isa.R2, 13),
+			isa.Mov64Reg(isa.R3, isa.R6),
+			isa.Call(helpers.ProbeReadKernel),
+			isa.Mov64Reg(isa.R7, isa.R0), // the helper's return, 0
+			isa.LoadMem(isa.SizeDW, isa.R0, isa.R10, -16),
+			isa.LoadMem(isa.SizeDW, isa.R1, isa.R6, 0),
+			isa.Alu64Reg(isa.ALUXor, isa.R0, isa.R1),
+			isa.LoadMem(isa.SizeDW, isa.R1, isa.R10, -8),
+			isa.LoadMem(isa.SizeDW, isa.R2, isa.R6, 8),
+			isa.Alu64Imm(isa.ALULsh, isa.R2, 24), // keep its low 5 bytes
+			isa.Alu64Imm(isa.ALURsh, isa.R2, 24),
+			isa.Alu64Reg(isa.ALUXor, isa.R1, isa.R2),
+			isa.Alu64Reg(isa.ALUOr, isa.R0, isa.R1),
+			isa.Alu64Reg(isa.ALUOr, isa.R0, isa.R7),
+			isa.Exit(),
+		},
+	})
+	out := k.Run(lp)
+	if out.Err != nil || out.R0 != 0 {
+		t.Fatalf("run: R0=%#x err=%v; want 0, nil", out.R0, out.Err)
+	}
+}

@@ -311,6 +311,9 @@ func (d *Domain) Resolve(addr uint64) *Allocation {
 // Allocations returns the number of allocations ever made (live or freed).
 func (d *Domain) Allocations() int { return len(d.allocs) }
 
+// loadLE reads the little-endian value of size bytes, 1 to 8, at b: a
+// program's loads are 1, 2, 4 or 8 bytes, and a helper's copy ends with
+// a tail of any size up to 8.
 func loadLE(b []byte, size int) uint64 {
 	switch size {
 	case 1:
@@ -322,9 +325,15 @@ func loadLE(b []byte, size int) uint64 {
 	case 8:
 		return binary.LittleEndian.Uint64(b)
 	}
-	panic(fmt.Sprintf("kmem: bad access size %d", size))
+	checkSize(size)
+	var v uint64
+	for i := range size {
+		v |= uint64(b[i]) << (8 * i)
+	}
+	return v
 }
 
+// storeLE writes the low size bytes of v, 1 to 8, little-endian at b.
 func storeLE(b []byte, size int, v uint64) {
 	switch size {
 	case 1:
@@ -336,6 +345,17 @@ func storeLE(b []byte, size int, v uint64) {
 	case 8:
 		binary.LittleEndian.PutUint64(b, v)
 	default:
+		checkSize(size)
+		for i := range size {
+			b[i] = byte(v >> (8 * i))
+		}
+	}
+}
+
+// checkSize panics on a size outside 1 to 8, which only a bug in the
+// caller can produce.
+func checkSize(size int) {
+	if size < 1 || size > 8 {
 		panic(fmt.Sprintf("kmem: bad access size %d", size))
 	}
 }

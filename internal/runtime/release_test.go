@@ -227,7 +227,50 @@ func TestReadMemGrowsAsItReads(t *testing.T) {
 	}
 	// A read that succeeds returns every byte.
 	copy(x.ctxAlloc.Data, "0123456789abcdefghij")
-	if data, err := x.henv.ReadMem(base+3, 12); err != nil || string(data) != "3456789abcde" {
-		t.Errorf("ReadMem(12) = %q, %v", data, err)
+	if data, err := x.henv.ReadMem(base+3, 13); err != nil || string(data) != "3456789abcdef" {
+		t.Errorf("ReadMem(13) = %q, %v", data, err)
+	}
+}
+
+// TestReadWriteMemEverySize: WriteMem then ReadMem of every size from 1
+// to 16 at an unaligned address moves exactly that many bytes, so a copy
+// whose last 8-byte step is 3, 5, 6 or 7 bytes long works like any
+// other. A 13-byte read whose 5-byte tail runs past the object reports
+// that tail.
+func TestReadWriteMemEverySize(t *testing.T) {
+	m := NewMachine(bugs.None())
+	x := NewExec(m, &isa.Program{Type: isa.ProgTypeTracepoint, Insns: []isa.Instruction{isa.Exit()}})
+	x.buildCtx()
+	x.henv.x = x
+	base := x.ctxAlloc.BaseAddr
+	for size := 1; size <= 16; size++ {
+		for i := range x.ctxAlloc.Data {
+			x.ctxAlloc.Data[i] = 0xee
+		}
+		data := make([]byte, size)
+		for i := range data {
+			data[i] = byte(0xa0 + i)
+		}
+		if err := x.henv.WriteMem(base+3, data); err != nil {
+			t.Fatalf("WriteMem(%d bytes): %v", size, err)
+		}
+		got, err := x.henv.ReadMem(base+3, size)
+		if err != nil || string(got) != string(data) {
+			t.Fatalf("ReadMem(%d) = % x, %v; want % x", size, got, err, data)
+		}
+		if x.ctxAlloc.Data[2] != 0xee || x.ctxAlloc.Data[3+size] != 0xee {
+			t.Fatalf("WriteMem(%d bytes) touched a byte outside its range: % x", size, x.ctxAlloc.Data[:3+size+1])
+		}
+	}
+	_, err := x.henv.ReadMem(base+56, 13)
+	want := &kmem.Report{Kind: kmem.ReportOOB, Addr: base + 64, Size: 5, Tag: "tp_ctx"}
+	var rep *kmem.Report
+	if !errors.As(err, &rep) || *rep != *want {
+		t.Fatalf("13-byte read past the end: %v, want %v", err, want)
+	}
+	_, err = x.henv.ReadMem(base+52, 13)
+	want = &kmem.Report{Kind: kmem.ReportOOB, Addr: base + 60, Size: 5, Tag: "tp_ctx"}
+	if !errors.As(err, &rep) || *rep != *want {
+		t.Fatalf("13-byte read straddling the end: %v, want %v", err, want)
 	}
 }

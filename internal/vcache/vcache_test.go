@@ -97,7 +97,7 @@ func TestStoreCounters(t *testing.T) {
 			t.Fatalf("cold lookup of program %d hit", i)
 		}
 		v := entry(p, int(i))
-		v.Cov = make([]coverage.SiteCount, i)
+		v.Cov = make([]coverage.Site, i)
 		s.Insert(fp, v)
 		want += int64(v.EstimateBytes())
 		if s.Lookup(fp, p) != v {

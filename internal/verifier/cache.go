@@ -13,7 +13,7 @@ import (
 // A Cache memoizes whole-program verdicts across Verify calls: sibling
 // shards and mutation chains regenerate byte-identical programs
 // constantly, and a hit replays the memoized verdict, counters, and the
-// exact coverage profile the scratch verification produced, so cached-on
+// coverage site set the scratch verification produced, so cached-on
 // and cached-off campaigns stay bit-identical. A miss always verifies
 // from the initial state.
 //
@@ -48,7 +48,7 @@ type Cache interface {
 // the oracle's StateTable are per-run artifacts a replay cannot reproduce
 // (RecordStates runs bypass the cache entirely so indicator-3 soundness
 // checks never see a stale claim table), and entries always carry a
-// replayable coverage profile, so coverage must be on.
+// replayable coverage site set, so coverage must be on.
 func cacheable(cfg *Config) bool {
 	return cfg.Cache != nil && cfg.LogLevel == 0 && !cfg.RecordStates && cfg.Cov != nil
 }
@@ -83,9 +83,9 @@ type CachedVerdict struct {
 	UsedMapFDs []int32
 	R0Bounds   ReturnBounds
 
-	// Cov is the exact (site, count) coverage profile the scratch
-	// verification recorded, replayed into Config.Cov on every hit.
-	Cov []coverage.SiteCount
+	// Cov is the sorted coverage site set the scratch verification
+	// recorded, replayed into Config.Cov on every hit.
+	Cov []coverage.Site
 }
 
 // EstimateBytes approximates the entry's memory footprint for the cache
@@ -95,13 +95,13 @@ func (v *CachedVerdict) EstimateBytes() int {
 	n += len(v.RangeChecks) * 40
 	n += len(v.ProbeMem) * 16
 	n += len(v.UsedMapFDs) * 4
-	n += len(v.Cov) * 16
+	n += len(v.Cov) * 8
 	return n
 }
 
 // newCachedVerdict builds the cache entry for one scratch verification, or
 // nil when the outcome must not be cached (timeouts, internal errors).
-func newCachedVerdict(canon []byte, res *Result, err error, cov []coverage.SiteCount) *CachedVerdict {
+func newCachedVerdict(canon []byte, res *Result, err error, cov []coverage.Site) *CachedVerdict {
 	if err != nil {
 		// Fast path: verify returns its *Error values unwrapped, and the
 		// errors.As target cell heap-escapes on every call.
@@ -200,7 +200,7 @@ type PrefixSnapshot struct{}
 
 // exportCov captures the local coverage recorder into *dst. It is
 // registered as a deferred call after the FlushTo defer, so it runs first
-// (LIFO) — while the recorder still holds the run's profile.
-func (e *env) exportCov(dst *[]coverage.SiteCount) {
+// (LIFO) — while the recorder still holds the run's sites.
+func (e *env) exportCov(dst *[]coverage.Site) {
 	*dst = e.lcov.Export()
 }

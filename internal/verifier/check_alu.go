@@ -122,7 +122,7 @@ func (e *env) checkALU(st *State, i int, ins isa.Instruction) error {
 	srcPtr := src.Type.IsPointer()
 	switch {
 	case !dstPtr && !srcPtr:
-		e.covAluScalar(op)
+		e.covs(aluScalarSites[op])
 		// Another explored path may use this same instruction as
 		// pointer arithmetic; its alu_limit assertion would then fire
 		// on this path's unrelated values. The kernel treats such
@@ -279,7 +279,7 @@ func (e *env) checkPtrALU(st *State, i int, ins isa.Instruction, op uint8, is64 
 	}
 
 	// Variable offset: bounds must be sane and bounded.
-	e.covPtrVar(dst.Type)
+	e.cov("alu:ptr_var:", dst.Type.String())
 	if scalar.SMin == math.MinInt64 || scalar.SMax == math.MaxInt64 ||
 		scalar.SMin < -maxVarOff || scalar.SMax > maxVarOff {
 		return e.reject(i, EACCES, "math between %s pointer and register with unbounded min/max value is not allowed", dst.Type)

@@ -38,7 +38,7 @@ func (e *env) checkHelperCall(st *State, i int, ins isa.Instruction) error {
 		e.cov("call:unknown")
 		return e.reject(i, EINVAL, "invalid func unknown#%d", ins.Imm)
 	}
-	e.covName(helperCallSites, "call:", h.Name)
+	e.cov("call:", h.Name)
 	if err := h.AllowedFor(e.prog.Type, e.prog.GPLCompatible); err != nil {
 		e.cov("call:gated")
 		return e.reject(i, EACCES, "%v", err)
@@ -65,7 +65,7 @@ func (e *env) checkHelperCall(st *State, i int, ins isa.Instruction) error {
 		}
 		reg := st.Reg(isa.R1 + uint8(ai))
 		argErr := func(format string, args ...interface{}) error {
-			e.covName(helperBadArgSites, "call:badarg:", h.Name)
+			e.cov("call:badarg:", h.Name)
 			return e.reject(i, EACCES, "R%d %s", int(isa.R1)+ai, sprintf(format, args...))
 		}
 		switch at {
@@ -82,7 +82,7 @@ func (e *env) checkHelperCall(st *State, i int, ins isa.Instruction) error {
 				return argErr("type=%s expected=map_ptr", reg.Type)
 			}
 			meta.m, meta.idx = e.mapOf(reg), reg.MapIdx
-			e.covMapArg(meta.m.Type)
+			e.cov("call:map_arg:", meta.m.Type.String())
 			// Map/helper compatibility, as in check_map_func_compatibility:
 			// prog arrays are only usable by bpf_tail_call and vice versa.
 			if (meta.m.Type == maps.ProgArray) != (h.ID == helpers.TailCall) {
@@ -325,7 +325,7 @@ func (e *env) checkKfuncCall(st *State, i int, ins isa.Instruction) error {
 		e.cov("kfunc:unknown")
 		return e.reject(i, EINVAL, "kernel function #%d is not allowed", ins.Imm)
 	}
-	e.covName(kfuncCallSites, "kfunc:", k.Name)
+	e.cov("kfunc:", k.Name)
 	var releasedRef uint32
 	for ai, p := range k.Params {
 		reg := st.Reg(isa.R1 + uint8(ai))

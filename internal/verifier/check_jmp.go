@@ -77,7 +77,7 @@ func (e *env) checkJmp(st *State, i int, ins isa.Instruction) (bool, *State, err
 	}
 
 	outcome := e.branchFeasibility(op, &dst, &src, is32)
-	e.covJmpOutcome(op, outcome)
+	e.covs(jmpOutcomeSites[op][outcome])
 
 	switch outcome {
 	case branchAlwaysTaken:

@@ -1,6 +1,8 @@
 package verifier
 
 import (
+	"strconv"
+
 	"repro/internal/btf"
 	"repro/internal/bugs"
 	"repro/internal/isa"
@@ -63,7 +65,7 @@ func (e *env) checkMemAccess(st *State, i int, ins isa.Instruction, isStore bool
 	case PtrToMem:
 		return e.checkMemRegionAccess(st, i, ins, &reg, off, size, isStore)
 	case ConstPtrToMap, PtrToPacketEnd:
-		e.covBadBase(reg.Type)
+		e.cov("mem:bad_base:", reg.Type.String())
 		return e.reject(i, EACCES, "R%d invalid mem access '%s'", base, reg.Type)
 	}
 	return e.reject(i, EACCES, "R%d invalid mem access", base)
@@ -176,7 +178,7 @@ func (e *env) checkCtxAccess(st *State, i int, ins isa.Instruction, off int64, s
 		e.cov("mem:ctx_badfield")
 		return e.reject(i, EACCES, "invalid bpf_context access off=%d size=%d", off, size)
 	}
-	e.covCtxField(e.prog.Type, field.Name)
+	e.cov("mem:ctx_field:", e.prog.Type.String(), ":", field.Name)
 	if isStore {
 		if !field.Writable || field.Kind != CtxScalar {
 			e.cov("mem:ctx_ro")
@@ -216,7 +218,7 @@ func (e *env) checkCtxAccess(st *State, i int, ins isa.Instruction, off int64, s
 // inside the value.
 func (e *env) checkMapValueAccess(st *State, i int, ins isa.Instruction, reg *RegState, off int64, size int, isStore bool) error {
 	m := e.mapOf(reg)
-	e.covMapValueAccess(m.Type, size, isStore)
+	e.cov("mem:map_value:", m.Type.String(), ":", strconv.Itoa(size), ":", strconv.FormatBool(isStore))
 	vsize := int64(m.ValueSize)
 	lo := off + reg.SMin
 	hi := off + reg.SMax
@@ -276,7 +278,7 @@ func (e *env) checkPacketAccess(st *State, i int, ins isa.Instruction, reg *RegS
 // exception-handled probe reads during fixup.
 func (e *env) checkBTFAccess(st *State, i int, ins isa.Instruction, reg *RegState, off int64, size int, isStore bool) error {
 	if s := e.cfg.BTF.Struct(reg.BTF); s != nil {
-		e.covName(btfStructSites, "mem:btf:", s.Name)
+		e.cov("mem:btf:", s.Name)
 	} else {
 		e.cov("mem:btf")
 	}

@@ -18,17 +18,10 @@ import (
 //
 // Invariant: frames are never aliased between states (cloneState deep
 // copies every frame), so releasing a state may release its frames
-// unconditionally. Snapshot clones recorded in e.visited are never
-// released; they stay live until the env is dropped.
-
-// Global backing pools seed a fresh env's free lists; once an env has
-// been through a verification its states stay attached to it (envs are
-// themselves pooled), so the common case never touches the synchronized
-// pools at all.
-var (
-	globalStatePool = sync.Pool{New: func() interface{} { return &State{} }}
-	globalFramePool = sync.Pool{New: func() interface{} { return &FuncState{} }}
-)
+// unconditionally. Snapshot clones recorded in e.visited are released
+// only at teardown, when the verification ends. A free list that
+// runs dry allocates; an env keeps its states across verifications
+// (envs are themselves pooled), so that happens only while it grows.
 
 func (e *env) newFrame() *FuncState {
 	if n := len(e.framePool); n > 0 {
@@ -36,7 +29,7 @@ func (e *env) newFrame() *FuncState {
 		e.framePool = e.framePool[:n-1]
 		return f
 	}
-	return globalFramePool.Get().(*FuncState)
+	return new(FuncState)
 }
 
 func (e *env) releaseFrame(f *FuncState) {
@@ -51,7 +44,7 @@ func (e *env) cloneState(s *State) *State {
 		n = e.statePool[ln-1]
 		e.statePool = e.statePool[:ln-1]
 	} else {
-		n = globalStatePool.Get().(*State)
+		n = new(State)
 	}
 	n.Frames = n.Frames[:0]
 	for _, f := range s.Frames {
@@ -75,7 +68,7 @@ func (e *env) newInitialStatePooled() *State {
 		n = e.statePool[ln-1]
 		e.statePool = e.statePool[:ln-1]
 	} else {
-		n = globalStatePool.Get().(*State)
+		n = new(State)
 	}
 	f := e.newFrame()
 	f.init(0, -1)

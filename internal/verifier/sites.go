@@ -1,24 +1,19 @@
 package verifier
 
 import (
-	"fmt"
+	"strconv"
 
-	"repro/internal/btf"
 	"repro/internal/coverage"
-	"repro/internal/helpers"
-	"repro/internal/isa"
-	"repro/internal/maps"
 )
 
-// Precomputed coverage sites for the hot instrumentation points. Constant
-// site strings are cheap to hash per hit (SiteOf is allocation-free), but
-// the dynamic sites — "jmp:<op>:<outcome>", "alu:scalar:<op>",
-// "mem:map_value:<type>:<size>:<store>", "call:<helper>" and friends —
-// used to build a fresh string on every hit. Their domains are all finite
-// and known at init (opcode tables, maps.AllTypes, the ctx layouts, the
-// standard helper/kfunc/BTF registries), so the Site values are computed
-// once here and the hit becomes a table lookup. Lookups that miss (custom
-// registries in tests) fall back to building the string.
+// Coverage sites. A site is named by a string, and a dynamic one —
+// "call:<helper>", "mem:map_value:<type>:<size>:<store>" and friends — by
+// its parts: e.cov hashes them with coverage.SiteOfParts, which gives
+// SiteOf of their concatenation without building it. The three dynamic
+// sites on per-instruction paths (jump outcome, scalar ALU op, stack
+// access) are looked up in arrays that init fills by the same function,
+// because hashing their names on every instruction costs more than an
+// index (DESIGN.md "Coverage fast path").
 
 // siteHot names the constant sites on the per-instruction hot path.
 var (
@@ -46,215 +41,38 @@ const (
 var (
 	// jmpOutcomeSites[op][outcome] = Site("jmp:<op>:<outcome>").
 	jmpOutcomeSites [256][maxJmpOutcome]coverage.Site
-	jmpOutcomeKnown [256]bool
 	// aluScalarSites[op] = Site("alu:scalar:<op>").
 	aluScalarSites [256]coverage.Site
-	aluScalarKnown [256]bool
-	// Per-RegType sites; RegType values are small consecutive ints.
-	ptrVarSites  map[RegType]coverage.Site // "alu:ptr_var:<type>"
-	badBaseSites map[RegType]coverage.Site // "mem:bad_base:<type>"
 	// stackAccessSites[size][isStore] = Site("mem:stack:<size>:<bool>").
 	stackAccessSites [9][2]coverage.Site
-	// mapValueSites[key] = Site("mem:map_value:<type>:<size>:<bool>").
-	mapValueSites map[mapValueKey]coverage.Site
-	// mapArgSites[t] = Site("call:map_arg:<type>").
-	mapArgSites map[maps.Type]coverage.Site
-	// ctxFieldSites[key] = Site("mem:ctx_field:<progtype>:<field>").
-	ctxFieldSites map[ctxFieldKey]coverage.Site
-	// Name-keyed tables for the standard registries.
-	helperCallSites   map[string]coverage.Site // "call:<name>"
-	helperBadArgSites map[string]coverage.Site // "call:badarg:<name>"
-	kfuncCallSites    map[string]coverage.Site // "kfunc:<name>"
-	btfStructSites    map[string]coverage.Site // "mem:btf:<name>"
 )
 
-type mapValueKey struct {
-	t       maps.Type
-	size    int
-	isStore bool
-}
-
-type ctxFieldKey struct {
-	t    isa.ProgramType
-	name string
-}
-
 func init() {
-	for op, name := range jmpOpNames {
-		for o := 0; o < maxJmpOutcome; o++ {
-			jmpOutcomeSites[op][o] = coverage.SiteOf("jmp:" + name + ":" + outcomeName(branchOutcome(o)))
+	for op := range jmpOutcomeSites {
+		for o := range jmpOutcomeSites[op] {
+			jmpOutcomeSites[op][o] = coverage.SiteOfParts("jmp:", jmpOpName(uint8(op)), ":", outcomeName(branchOutcome(o)))
 		}
-		jmpOutcomeKnown[op] = true
+		aluScalarSites[op] = coverage.SiteOfParts("alu:scalar:", aluOpName(uint8(op)))
 	}
-	for op, name := range aluOpNames {
-		aluScalarSites[op] = coverage.SiteOf("alu:scalar:" + name)
-		aluScalarKnown[op] = true
-	}
-
-	regTypes := []RegType{
-		NotInit, Scalar, PtrToCtx, ConstPtrToMap, PtrToMapValue,
-		PtrToStack, PtrToPacket, PtrToPacketEnd, PtrToBTFID, PtrToMem,
-	}
-	ptrVarSites = make(map[RegType]coverage.Site, len(regTypes))
-	badBaseSites = make(map[RegType]coverage.Site, len(regTypes))
-	for _, t := range regTypes {
-		ptrVarSites[t] = coverage.SiteOf("alu:ptr_var:" + t.String())
-		badBaseSites[t] = coverage.SiteOf("mem:bad_base:" + t.String())
-	}
-
-	sizes := []int{1, 2, 4, 8}
-	for _, sz := range sizes {
-		stackAccessSites[sz][0] = coverage.SiteOf(fmt.Sprintf("mem:stack:%d:%v", sz, false))
-		stackAccessSites[sz][1] = coverage.SiteOf(fmt.Sprintf("mem:stack:%d:%v", sz, true))
-	}
-
-	mapValueSites = make(map[mapValueKey]coverage.Site, len(maps.AllTypes)*len(sizes)*2)
-	mapArgSites = make(map[maps.Type]coverage.Site, len(maps.AllTypes))
-	for _, t := range maps.AllTypes {
-		mapArgSites[t] = coverage.SiteOf("call:map_arg:" + t.String())
-		for _, sz := range sizes {
-			for _, store := range []bool{false, true} {
-				mapValueSites[mapValueKey{t, sz, store}] =
-					coverage.SiteOf(fmt.Sprintf("mem:map_value:%s:%d:%v", t, sz, store))
-			}
+	for size := range stackAccessSites {
+		for i, store := range []bool{false, true} {
+			stackAccessSites[size][i] = coverage.SiteOfParts("mem:stack:", strconv.Itoa(size), ":", strconv.FormatBool(store))
 		}
-	}
-
-	ctxFieldSites = make(map[ctxFieldKey]coverage.Site)
-	for t, layout := range ctxLayouts {
-		for _, f := range layout.Fields {
-			ctxFieldSites[ctxFieldKey{t, f.Name}] =
-				coverage.SiteOf("mem:ctx_field:" + t.String() + ":" + f.Name)
-		}
-	}
-
-	reg := helpers.NewRegistry()
-	ids := reg.IDs()
-	helperCallSites = make(map[string]coverage.Site, len(ids))
-	helperBadArgSites = make(map[string]coverage.Site, len(ids))
-	for _, id := range ids {
-		h := reg.ByID(id)
-		helperCallSites[h.Name] = coverage.SiteOf("call:" + h.Name)
-		helperBadArgSites[h.Name] = coverage.SiteOf("call:badarg:" + h.Name)
-	}
-
-	kreg := btf.NewKernelRegistry()
-	kfuncCallSites = make(map[string]coverage.Site)
-	for _, id := range kreg.Kfuncs() {
-		k := kreg.Kfunc(id)
-		kfuncCallSites[k.Name] = coverage.SiteOf("kfunc:" + k.Name)
-	}
-	btfStructSites = make(map[string]coverage.Site)
-	for _, id := range kreg.StructIDs() {
-		s := kreg.Struct(id)
-		btfStructSites[s.Name] = coverage.SiteOf("mem:btf:" + s.Name)
 	}
 }
+
+// cov records the site named by the concatenation of parts.
+func (e *env) cov(parts ...string) { e.lcov.Hit(coverage.SiteOfParts(parts...)) }
 
 // covs records a precomputed site.
 func (e *env) covs(s coverage.Site) { e.lcov.Hit(s) }
 
-// covName records a name-keyed site from table, falling back to the
-// dynamic string for names outside the standard registries.
-func (e *env) covName(table map[string]coverage.Site, prefix, name string) {
-	if e.lcov == nil {
-		return
-	}
-	if s, ok := table[name]; ok {
-		e.lcov.Hit(s)
-		return
-	}
-	e.lcov.HitLoc(prefix + name)
-}
-
-func (e *env) covJmpOutcome(op uint8, o branchOutcome) {
-	if e.lcov == nil {
-		return
-	}
-	if jmpOutcomeKnown[op] && int(o) < maxJmpOutcome {
-		e.lcov.Hit(jmpOutcomeSites[op][o])
-		return
-	}
-	e.lcov.HitLoc("jmp:" + jmpOpName(op) + ":" + outcomeName(o))
-}
-
-func (e *env) covAluScalar(op uint8) {
-	if e.lcov == nil {
-		return
-	}
-	if aluScalarKnown[op] {
-		e.lcov.Hit(aluScalarSites[op])
-		return
-	}
-	e.lcov.HitLoc("alu:scalar:" + aluOpName(op))
-}
-
-func (e *env) covPtrVar(t RegType) {
-	if e.lcov == nil {
-		return
-	}
-	if s, ok := ptrVarSites[t]; ok {
-		e.lcov.Hit(s)
-		return
-	}
-	e.lcov.HitLoc("alu:ptr_var:" + t.String())
-}
-
-func (e *env) covBadBase(t RegType) {
-	if e.lcov == nil {
-		return
-	}
-	if s, ok := badBaseSites[t]; ok {
-		e.lcov.Hit(s)
-		return
-	}
-	e.lcov.HitLoc("mem:bad_base:" + t.String())
-}
-
+// covStackAccess records "mem:stack:<size>:<isStore>". size is an access
+// width from isa.SizeBytes, 0 to 8.
 func (e *env) covStackAccess(size int, isStore bool) {
-	if e.lcov == nil {
-		return
+	idx := 0
+	if isStore {
+		idx = 1
 	}
-	if size >= 1 && size < len(stackAccessSites) && stackAccessSites[size][0] != 0 {
-		idx := 0
-		if isStore {
-			idx = 1
-		}
-		e.lcov.Hit(stackAccessSites[size][idx])
-		return
-	}
-	e.lcov.HitLoc(fmt.Sprintf("mem:stack:%d:%v", size, isStore))
-}
-
-func (e *env) covMapValueAccess(t maps.Type, size int, isStore bool) {
-	if e.lcov == nil {
-		return
-	}
-	if s, ok := mapValueSites[mapValueKey{t, size, isStore}]; ok {
-		e.lcov.Hit(s)
-		return
-	}
-	e.lcov.HitLoc(fmt.Sprintf("mem:map_value:%s:%d:%v", t, size, isStore))
-}
-
-func (e *env) covCtxField(t isa.ProgramType, name string) {
-	if e.lcov == nil {
-		return
-	}
-	if s, ok := ctxFieldSites[ctxFieldKey{t, name}]; ok {
-		e.lcov.Hit(s)
-		return
-	}
-	e.lcov.HitLoc("mem:ctx_field:" + t.String() + ":" + name)
-}
-
-func (e *env) covMapArg(t maps.Type) {
-	if e.lcov == nil {
-		return
-	}
-	if s, ok := mapArgSites[t]; ok {
-		e.lcov.Hit(s)
-		return
-	}
-	e.lcov.HitLoc("call:map_arg:" + t.String())
+	e.lcov.Hit(stackAccessSites[size][idx])
 }

@@ -311,10 +311,6 @@ type env struct {
 	log strings.Builder
 }
 
-func (e *env) cov(loc string) {
-	e.lcov.HitLoc(loc)
-}
-
 func (e *env) logf(format string, args ...interface{}) {
 	if e.cfg.LogLevel > 0 {
 		fmt.Fprintf(&e.log, format, args...)
@@ -338,7 +334,7 @@ func (e *env) watchdog() error {
 
 func (e *env) reject(insn int, errno int, format string, args ...interface{}) error {
 	word := rejectWord(format, args)
-	e.cov("reject:" + word)
+	e.cov("reject:", word)
 	return &Error{Insn: insn, Errno: errno, Log: e.log.String(),
 		format: format, args: args, reason: word}
 }
@@ -424,8 +420,8 @@ func widthOf(ins isa.Instruction) int {
 // program plus sanitizer metadata; on rejection it returns a *Error.
 //
 // With a cacheable Config.Cache, Verify first consults the verdict cache;
-// a hit replays the memoized outcome (verdict, counters, exact coverage
-// profile) without exploring, and a miss verifies from scratch and
+// a hit replays the memoized outcome (verdict, counters, coverage site
+// set) without exploring, and a miss verifies from scratch and
 // memoizes. Timeouts are never memoized.
 func Verify(prog *isa.Program, cfg *Config) (*Result, error) {
 	if !cacheable(cfg) {
@@ -440,7 +436,7 @@ func Verify(prog *isa.Program, cfg *Config) (*Result, error) {
 		}
 	}
 	cacheSpent := time.Since(t0)
-	var capture []coverage.SiteCount
+	var capture []coverage.Site
 	res, err := verify(prog, cfg, &capture)
 	t1 := time.Now()
 	if v := newCachedVerdict(CanonicalProgramBytes(prog), res, err, capture); v != nil {
@@ -461,9 +457,9 @@ func addCacheNanos(cfg *Config, d time.Duration) {
 const maxStatesPerInsn = 16
 
 // verify is the scratch verification path. capture, when non-nil, marks a
-// cache-miss run: the final coverage profile is exported into it for the
+// cache-miss run: the final coverage site set is exported into it for the
 // verdict-cache entry.
-func verify(prog *isa.Program, cfg *Config, capture *[]coverage.SiteCount) (*Result, error) {
+func verify(prog *isa.Program, cfg *Config, capture *[]coverage.Site) (*Result, error) {
 	if cfg.MaxInsnProcessed == 0 {
 		cfg.MaxInsnProcessed = 100000
 	}
@@ -818,10 +814,3 @@ func (e *env) noteMap(m *maps.Map) uint32 {
 // mapOf returns the map a ConstPtrToMap or PtrToMapValue register
 // refers to.
 func (e *env) mapOf(r *RegState) *maps.Map { return e.usedMaps[r.MapIdx] }
-
-// errIsVerifier reports whether err is a verifier rejection (vs an
-// internal failure).
-func errIsVerifier(err error) bool {
-	var ve *Error
-	return errors.As(err, &ve)
-}

@@ -35,6 +35,14 @@ func main() {
 		progType = flag.String("type", "socket_filter", "program type: socket_filter, kprobe, xdp, ...")
 	)
 	flag.Parse()
+	v, err := kernel.ParseVersion(*version)
+	if err != nil {
+		usage(err)
+	}
+	typ, err := isa.ParseProgramType(*progType)
+	if err != nil {
+		usage(err)
+	}
 
 	var in io.Reader = os.Stdin
 	if flag.NArg() > 0 {
@@ -73,7 +81,7 @@ func main() {
 			fatal(err)
 		}
 	}
-	prog.Type = parseProgType(*progType)
+	prog.Type = typ
 	fmt.Print(prog.String())
 	if *emit {
 		fmt.Printf("%s%s%s", "\n", hex.EncodeToString(prog.Encode()), "\n")
@@ -81,15 +89,6 @@ func main() {
 
 	if !*verify {
 		return
-	}
-	var v kernel.Version
-	switch *version {
-	case "v5.15":
-		v = kernel.V515
-	case "v6.1":
-		v = kernel.V61
-	default:
-		v = kernel.BPFNext
 	}
 	k := kernel.New(kernel.Config{Version: v})
 	prog.GPLCompatible = true
@@ -102,16 +101,14 @@ func main() {
 		lp.Res.InsnProcessed, lp.Res.TotalStates)
 }
 
-func parseProgType(s string) isa.ProgramType {
-	for _, t := range isa.AllProgramTypes {
-		if t.String() == s {
-			return t
-		}
-	}
-	return isa.ProgTypeSocketFilter
-}
-
 func fatal(err error) {
 	fmt.Fprintf(os.Stderr, "bpfasm: %v\n", err)
 	os.Exit(1)
+}
+
+// usage reports a bad flag value and exits 2, as flag does for a bad
+// flag.
+func usage(err error) {
+	fmt.Fprintf(os.Stderr, "bpfasm: %v\n", err)
+	os.Exit(2)
 }

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/kernel"
 	"repro/internal/orchestrator"
 	"repro/internal/triage"
 )
@@ -81,7 +82,7 @@ func TestE2EWorkerKilledMidLease(t *testing.T) {
 
 	// Unfaulted single-process reference (SyncEvery = per-shard quota:
 	// one round, no cross-shard exchange, shards ≡ units).
-	ver, err := orchestrator.ParseVersion("bpf-next")
+	ver, err := kernel.ParseVersion("bpf-next")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +242,7 @@ func TestE2EWorkerKilledMidLease(t *testing.T) {
 // campaign must be bit-identical to.
 func refCampaign(t *testing.T, seed int64, iters, units int) *core.Stats {
 	t.Helper()
-	ver, err := orchestrator.ParseVersion("bpf-next")
+	ver, err := kernel.ParseVersion("bpf-next")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,6 +52,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/kernel"
 	"repro/internal/orchestrator"
 	"repro/internal/triage"
 )
@@ -83,6 +84,10 @@ func run() int {
 		verbose  = flag.Bool("v", false, "log every lease, heartbeat rejection, lifecycle transition, and unit completion")
 	)
 	flag.Parse()
+	if _, err := kernel.ParseVersion(*version); err != nil {
+		fmt.Fprintf(os.Stderr, "bvfd: %v\n", err)
+		return 2
+	}
 
 	auth, err := parseAuth(*authSpec)
 	if err != nil {

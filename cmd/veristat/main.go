@@ -30,7 +30,7 @@ import (
 
 func main() {
 	var (
-		version  = flag.String("version", "bpf-next", "kernel version")
+		version  = flag.String("version", "bpf-next", "kernel version: v5.15, v6.1 or bpf-next")
 		sanitize = flag.Bool("sanitize", false, "apply the BVF sanitizer and report footprint")
 	)
 	flag.Parse()
@@ -39,14 +39,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	var v kernel.Version
-	switch *version {
-	case "v5.15":
-		v = kernel.V515
-	case "v6.1":
-		v = kernel.V61
-	default:
-		v = kernel.BPFNext
+	v, err := kernel.ParseVersion(*version)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "veristat: %v\n", err)
+		os.Exit(2)
 	}
 
 	k := kernel.New(kernel.Config{Version: v, Sanitize: *sanitize})
@@ -104,6 +100,7 @@ func main() {
 }
 
 // buildProgram assembles the source and applies its header directives.
+// An unknown prog_type fails the program like an assembly error.
 func buildProgram(src string) (*isa.Program, error) {
 	prog, err := asm.Assemble(src)
 	if err != nil {
@@ -119,12 +116,11 @@ func buildProgram(src string) (*isa.Program, error) {
 		directive := strings.TrimSpace(strings.TrimPrefix(line, ";"))
 		switch {
 		case strings.HasPrefix(directive, "prog_type:"):
-			name := strings.TrimSpace(strings.TrimPrefix(directive, "prog_type:"))
-			for _, t := range isa.AllProgramTypes {
-				if t.String() == name {
-					prog.Type = t
-				}
+			t, err := isa.ParseProgramType(strings.TrimSpace(strings.TrimPrefix(directive, "prog_type:")))
+			if err != nil {
+				return nil, err
 			}
+			prog.Type = t
 		case strings.HasPrefix(directive, "attach:"):
 			prog.AttachTo = strings.TrimSpace(strings.TrimPrefix(directive, "attach:"))
 		case directive == "nongpl":

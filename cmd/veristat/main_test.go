@@ -74,4 +74,10 @@ func TestBuildProgramDirectives(t *testing.T) {
 	if prog.GPLCompatible {
 		t.Error("nongpl ignored")
 	}
+	// An unknown prog_type fails the file instead of loading it as a
+	// socket filter.
+	if prog, err := buildProgram("; prog_type: kprobes\nr0 = 0\nexit\n"); err == nil ||
+		!strings.Contains(err.Error(), `unknown program type "kprobes"`) {
+		t.Errorf("unknown prog_type: got %v, %v; want an error", prog, err)
+	}
 }

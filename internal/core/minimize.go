@@ -124,26 +124,9 @@ func MinimizeOpts(rep *Reproducer, prog *isa.Program, o MinimizeOptions) *isa.Pr
 	return cur
 }
 
-// NewReplayKernel builds a pristine kernel with the standard resource
-// pool and tail-call target installed — the environment reproducer checks
-// and the triage gauntlet replay programs in. The returned handles mirror
-// the pool a campaign iteration sees, in the same fd order. oracle must
-// match the finding campaign's Oracle setting: soundness findings only
-// reproduce under the oracle's hooked replay.
-func NewReplayKernel(version kernel.Version, override bugs.Set, sanitize, oracle bool) (*kernel.Kernel, []MapHandle, error) {
-	k := kernel.New(kernel.Config{Version: version, Bugs: override, Sanitize: sanitize, Oracle: oracle})
-	pool, err := installPool(k, make([]MapHandle, 0, len(poolSpecs)))
-	if err != nil {
-		return nil, nil, err
-	}
-	return k, pool, nil
-}
-
 // NewReproducer builds a Reproducer for one seeded bug against the given
-// kernel version with the standard resource pool. One kernel is built up
-// front and, between Check calls, Reset and given its pool again by
-// installPool — the same construction sequence (fresh memory domain,
-// maps, fds, tail-call target) — so every probe still sees a pristine
+// kernel version with the standard resource pool. Its checks replay
+// every candidate on one ReplayKernel, which gives each probe a pristine
 // environment without paying a full kernel build per minimization
 // candidate.
 //
@@ -153,41 +136,19 @@ func NewReplayKernel(version kernel.Version, override bugs.Set, sanitize, oracle
 // the oracle, whose claims only Run's replay reads.
 func NewReproducer(version kernel.Version, override bugs.Set, sanitize, oracle bool, bug bugs.ID) *Reproducer {
 	atLoad := kernel.RaisedOnlyAtLoad(bug)
-	k, pool, kerr := NewReplayKernel(version, override, sanitize, oracle && !atLoad)
-	first := true
+	rk, kerr := NewReplayKernel(version, override, sanitize, oracle && !atLoad)
+	runs := runsPerProgram
+	if atLoad {
+		runs = 0
+	}
 	return &Reproducer{
 		Bug: bug,
 		Check: func(prog *isa.Program) bool {
 			if kerr != nil {
 				return false
 			}
-			if !first {
-				k.Reset()
-				var err error
-				if pool, err = installPool(k, pool[:0]); err != nil {
-					return false
-				}
-			}
-			first = false
-			lp, err := k.LoadProgram(prog)
-			if err != nil {
-				// Load-time bugs (the kmemdup warning) classify from
-				// the error itself.
-				if a := kernel.Classify(err); a != nil {
-					return k.Triage(a, prog) == bug
-				}
-				return false
-			}
-			if atLoad {
-				return false
-			}
-			for run := 0; run < 2; run++ {
-				out := k.Run(lp)
-				if a := kernel.Classify(out.Err); a != nil {
-					return k.Triage(a, prog) == bug
-				}
-			}
-			return false
+			a, id := rk.direct(prog, runs)
+			return a != nil && id == bug
 		},
 	}
 }

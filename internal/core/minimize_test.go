@@ -48,17 +48,17 @@ func TestMinimizeBudget(t *testing.T) {
 	}
 }
 
-// freshKernelReproducer is the pre-pooling checker: a brand-new replay
-// kernel per candidate, which loads the candidate and runs it twice
-// whatever the bug. It is the reference NewReproducer's Reset-based reuse,
-// and its load-only check of a bug raised at load, must agree with,
-// verdict for verdict.
+// freshKernelReproducer is the pre-pooling checker: a brand-new kernel
+// with the standard pool per candidate, which loads the candidate and
+// runs it twice whatever the bug. It is the reference NewReproducer's
+// Reset-based reuse, and its load-only check of a bug raised at load,
+// must agree with, verdict for verdict.
 func freshKernelReproducer(version kernel.Version, override bugs.Set, sanitize, oracle bool, bug bugs.ID) *Reproducer {
 	return &Reproducer{
 		Bug: bug,
 		Check: func(prog *isa.Program) bool {
-			k, _, kerr := NewReplayKernel(version, override, sanitize, oracle)
-			if kerr != nil {
+			k := kernel.New(kernel.Config{Version: version, Bugs: override, Sanitize: sanitize, Oracle: oracle})
+			if _, err := installPool(k, nil); err != nil {
 				return false
 			}
 			lp, err := k.LoadProgram(prog)

@@ -2,6 +2,7 @@ package isa
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -523,5 +524,41 @@ func TestRemoveAtWithWide(t *testing.T) {
 	}
 	if err := q.Validate(MaxInsns); err != nil {
 		t.Fatalf("invalid: %v", err)
+	}
+}
+
+// TestParseProgramType: every concrete type's name parses back to it,
+// and an unknown name, including the unspec type that no program can
+// be loaded as, is an error that lists the valid names.
+func TestParseProgramType(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want ProgramType
+		ok   bool
+	}{
+		{"socket_filter", ProgTypeSocketFilter, true},
+		{"kprobe", ProgTypeKprobe, true},
+		{"xdp", ProgTypeXDP, true},
+		{"sched_cls", ProgTypeSchedCLS, true},
+		{"unspec", 0, false},
+		{"XDP", 0, false},
+		{"socket-filter", 0, false},
+		{"", 0, false},
+	} {
+		got, err := ParseProgramType(c.in)
+		if !c.ok {
+			if err == nil || !strings.Contains(err.Error(), "socket_filter, kprobe") {
+				t.Errorf("ParseProgramType(%q) = %v, %v; want an error listing the valid names", c.in, got, err)
+			}
+			continue
+		}
+		if err != nil || got != c.want {
+			t.Errorf("ParseProgramType(%q) = %v, %v; want %v", c.in, got, err, c.want)
+		}
+	}
+	for _, pt := range AllProgramTypes {
+		if got, err := ParseProgramType(pt.String()); err != nil || got != pt {
+			t.Errorf("ParseProgramType(%v.String()) = %v, %v", pt, got, err)
+		}
 	}
 }

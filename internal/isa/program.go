@@ -48,6 +48,19 @@ var AllProgramTypes = []ProgramType{
 	ProgTypeXDP, ProgTypePerfEvent, ProgTypeRawTracepoint, ProgTypeSchedCLS,
 }
 
+// ParseProgramType maps a concrete program type's name (String) onto the
+// type. The error for an unknown name lists the valid ones.
+func ParseProgramType(s string) (ProgramType, error) {
+	names := make([]string, len(AllProgramTypes))
+	for i, t := range AllProgramTypes {
+		if t.String() == s {
+			return t, nil
+		}
+		names[i] = t.String()
+	}
+	return 0, fmt.Errorf("isa: unknown program type %q (valid: %s)", s, strings.Join(names, ", "))
+}
+
 // Program is a sequence of decoded instructions plus load-time attributes.
 type Program struct {
 	Insns []Instruction

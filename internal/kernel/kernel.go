@@ -9,6 +9,7 @@ package kernel
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/bugs"
@@ -51,6 +52,19 @@ func (v Version) String() string {
 
 // AllVersions lists the evaluated kernels in paper order.
 var AllVersions = []Version{V515, V61, BPFNext}
+
+// ParseVersion maps a version name (Version.String) onto its Version.
+// The error for an unknown name lists the valid ones.
+func ParseVersion(s string) (Version, error) {
+	names := make([]string, len(AllVersions))
+	for i, v := range AllVersions {
+		if v.String() == s {
+			return v, nil
+		}
+		names[i] = v.String()
+	}
+	return 0, fmt.Errorf("kernel: unknown kernel version %q (valid: %s)", s, strings.Join(names, ", "))
+}
 
 // DefaultBugs returns the bug knobs armed on each version: old bugs exist
 // on old kernels, the six new verifier correctness bugs live in bpf-next.

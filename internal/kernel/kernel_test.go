@@ -1069,3 +1069,38 @@ func TestProbeReadKernelOddTail(t *testing.T) {
 		t.Fatalf("run: R0=%#x err=%v; want 0, nil", out.R0, out.Err)
 	}
 }
+
+// TestParseVersion: every version's name parses back to it, and an
+// unknown name (a real release BVF does not model, a near miss, a
+// different spelling) is an error that lists the valid names.
+func TestParseVersion(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want Version
+		ok   bool
+	}{
+		{"v5.15", V515, true},
+		{"v6.1", V61, true},
+		{"bpf-next", BPFNext, true},
+		{"v5.10", 0, false},
+		{"5.15", 0, false},
+		{"BPF-NEXT", 0, false},
+		{"", 0, false},
+	} {
+		got, err := ParseVersion(c.in)
+		if !c.ok {
+			if err == nil || !strings.Contains(err.Error(), "v5.15, v6.1, bpf-next") {
+				t.Errorf("ParseVersion(%q) = %v, %v; want an error listing the valid names", c.in, got, err)
+			}
+			continue
+		}
+		if err != nil || got != c.want {
+			t.Errorf("ParseVersion(%q) = %v, %v; want %v", c.in, got, err, c.want)
+		}
+	}
+	for _, v := range AllVersions {
+		if got, err := ParseVersion(v.String()); err != nil || got != v {
+			t.Errorf("ParseVersion(%v.String()) = %v, %v", v, got, err)
+		}
+	}
+}

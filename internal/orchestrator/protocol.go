@@ -77,7 +77,7 @@ type CampaignSpec struct {
 
 // KernelVersion parses the spec's Version field.
 func (s CampaignSpec) KernelVersion() (kernel.Version, error) {
-	return ParseVersion(s.Version)
+	return kernel.ParseVersion(s.Version)
 }
 
 // Validate reports whether a coordinator can run the spec: at least one
@@ -117,19 +117,6 @@ func (s CampaignSpec) CampaignConfig() (core.CampaignConfig, error) {
 		return core.CampaignConfig{}, fmt.Errorf("orchestrator: unknown tool %q", s.Tool)
 	}
 	return cc, nil
-}
-
-// ParseVersion maps a version string onto kernel.Version.
-func ParseVersion(s string) (kernel.Version, error) {
-	switch s {
-	case "v5.15":
-		return kernel.V515, nil
-	case "v6.1":
-		return kernel.V61, nil
-	case "bpf-next":
-		return kernel.BPFNext, nil
-	}
-	return 0, fmt.Errorf("orchestrator: unknown kernel version %q", s)
 }
 
 // Unit is one leased work unit: a seed (the campaign base seed plus the

@@ -127,15 +127,16 @@ func (g *Gauntlet) process(f *Finding) error {
 }
 
 // stageReplay replays the finding deterministically in its discovery
-// environment, on pristine kernels:
+// environment, on one replay kernel that is pristine for every replay:
 //
 //   - every replay matches      → advance
 //   - none match + correlated   → harness artifact, done
 //   - anything else             → quarantined with the evidence, done
 func (g *Gauntlet) stageReplay(f *Finding) {
 	matched := 0
+	rk := replayKernel(f.Raw.Env)
 	for i := 0; i < replays; i++ {
-		rep := replayOnce(f.Raw.Env, f.Raw.Key, i+1, f.Raw.Program)
+		rep := replayOnce(rk, f.Raw.Key, i+1, f.Raw.Program)
 		f.Replays = append(f.Replays, rep)
 		if matches(f.Raw.Key, rep) {
 			matched++
@@ -181,7 +182,8 @@ func (g *Gauntlet) stageCrossConfig(f *Finding) {
 	f.Matrix = f.Matrix[:0]
 	for _, v := range kernel.AllVersions {
 		for _, san := range []bool{true, false} {
-			rep := replayOnce(Env{Version: v, Sanitize: san, Oracle: f.Raw.Env.Oracle}, f.Raw.Key, 0, f.Raw.Program)
+			env := Env{Version: v, Sanitize: san, Oracle: f.Raw.Env.Oracle}
+			rep := replayOnce(replayKernel(env), f.Raw.Key, 0, f.Raw.Program)
 			f.Matrix = append(f.Matrix, MatrixCell{
 				Version: v, Sanitize: san,
 				Reproduced: matches(f.Raw.Key, rep), Bug: rep.Bug,

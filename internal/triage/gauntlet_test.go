@@ -65,7 +65,7 @@ func deterministicFinding(t *testing.T) *Finding {
 			Key: key, FoundAt: rec.FoundAt, Err: rec.Err,
 			Program: rec.Program, Env: env,
 		}}
-		if !matches(key, replayOnce(env, key, 0, rec.Program)) {
+		if !matches(key, replayOnce(replayKernel(env), key, 0, rec.Program)) {
 			continue
 		}
 		if !core.NewReproducer(env.Version, env.Bugs, env.Sanitize, env.Oracle, key.ID).Check(rec.Program) {

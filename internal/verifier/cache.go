@@ -2,10 +2,10 @@ package verifier
 
 import (
 	"errors"
+	"slices"
 
 	"repro/internal/coverage"
 	"repro/internal/isa"
-	"repro/internal/maps"
 )
 
 // Verdict caching.
@@ -22,13 +22,14 @@ import (
 //   - the 64-bit fingerprint is only the index. Every entry carries its
 //     canonical program bytes and lookups compare them exactly, so an FNV
 //     collision degrades to a miss, never to a wrong verdict;
-//   - entries never store kernel addresses. Map references are stored as
-//     FDs and rebound through Config.MapByFD on every hit, and the fixed-up
-//     program is re-derived from the original program on every hit
-//     (fixupProgram), because map kernel addresses are not stable across
-//     kernel recycles;
-//   - a hit that cannot be rebound (stale FD, missing resolver) falls back
-//     to scratch verification instead of erroring;
+//   - entries never store kernel addresses. The fixed-up program is
+//     re-derived from the original program on every hit (fixupProgram),
+//     resolving its map FDs through Config.MapByFD, because map kernel
+//     addresses are not stable across kernel recycles;
+//   - a hit whose program no longer fixes up (stale FD, missing
+//     resolver) falls back to scratch verification instead of erroring.
+//     The fixup resolves every map load in the program, so it covers
+//     every map the verification used;
 //   - watchdog timeouts are never cached: a TimeoutError is a harness
 //     resource verdict, not a program property.
 type Cache interface {
@@ -43,19 +44,16 @@ type Cache interface {
 	Insert(fp uint64, v *CachedVerdict)
 }
 
-// cacheable reports whether this verification may consult the cache. The
-// cache path requires the default introspection level: log rendering and
-// the oracle's StateTable are per-run artifacts a replay cannot reproduce
-// (RecordStates runs bypass the cache entirely so indicator-3 soundness
-// checks never see a stale claim table), and entries always carry a
-// replayable coverage site set, so coverage must be on.
+// cacheable reports whether this verification may consult the cache.
+// The oracle's StateTable is a per-run artifact a replay cannot
+// reproduce (RecordStates runs bypass the cache entirely so indicator-3
+// soundness checks never see a stale claim table), and entries always
+// carry a replayable coverage site set, so coverage must be on.
 func cacheable(cfg *Config) bool {
-	return cfg.Cache != nil && cfg.LogLevel == 0 && !cfg.RecordStates && cfg.Cov != nil
+	return cfg.Cache != nil && !cfg.RecordStates && cfg.Cov != nil
 }
 
-// CachedVerdict is one memoized whole-program verification outcome. All
-// fields are exported so checkpointed campaigns can persist entries with
-// encoding/gob.
+// CachedVerdict is one memoized whole-program verification outcome.
 type CachedVerdict struct {
 	// Prog is the canonical byte form of the verified program; Lookup
 	// compares it exactly to make fingerprint collisions harmless.
@@ -78,9 +76,9 @@ type CachedVerdict struct {
 	PeakStates    int
 	TotalStates   int
 	RangeChecks   []RangeCheck
-	ProbeMem      map[int]bool
-	// UsedMapFDs lists Result.UsedMaps by FD in first-use order.
-	UsedMapFDs []int32
+	// ProbeLoads lists, ascending, the loads fixup converts to probe
+	// reads: the Meta.ProbeMem bits of the scratch fixed-up program.
+	ProbeLoads []int32
 	R0Bounds   ReturnBounds
 
 	// Cov is the sorted coverage site set the scratch verification
@@ -93,8 +91,7 @@ type CachedVerdict struct {
 func (v *CachedVerdict) EstimateBytes() int {
 	n := 96 + len(v.Prog) + len(v.Msg)
 	n += len(v.RangeChecks) * 40
-	n += len(v.ProbeMem) * 16
-	n += len(v.UsedMapFDs) * 4
+	n += len(v.ProbeLoads) * 4
 	n += len(v.Cov) * 8
 	return n
 }
@@ -118,11 +115,10 @@ func newCachedVerdict(canon []byte, res *Result, err error, cov []coverage.Site)
 			Cov:      cov,
 		}
 	}
-	var fds []int32
-	if len(res.UsedMaps) > 0 {
-		fds = make([]int32, len(res.UsedMaps))
-		for i, m := range res.UsedMaps {
-			fds[i] = m.FD
+	var probes []int32
+	for i := range res.Prog.Insns {
+		if res.Prog.Insns[i].Meta.ProbeMem {
+			probes = append(probes, int32(i))
 		}
 	}
 	return &CachedVerdict{
@@ -131,37 +127,22 @@ func newCachedVerdict(canon []byte, res *Result, err error, cov []coverage.Site)
 		PeakStates:    res.PeakStates,
 		TotalStates:   res.TotalStates,
 		RangeChecks:   res.RangeChecks,
-		ProbeMem:      res.ProbeMem,
-		UsedMapFDs:    fds,
+		ProbeLoads:    probes,
 		R0Bounds:      res.R0Bounds,
 		Cov:           cov,
 	}
 }
 
 // materialize replays the memoized outcome under cfg. ok == false demotes
-// the hit to a miss (the caller verifies from scratch): a map FD no longer
-// resolves, or the re-fixup failed. Every rebind is validated before any
-// observable side effect (the coverage replay), so a failed materialization
-// leaves cfg.Cov untouched.
+// the hit to a miss (the caller verifies from scratch): the program no
+// longer fixes up, because a map FD no longer resolves. The fixup runs
+// before any observable side effect (the coverage replay), so a failed
+// materialization leaves cfg.Cov untouched.
 func (v *CachedVerdict) materialize(prog *isa.Program, cfg *Config) (*Result, error, bool) {
-	var used []*maps.Map
-	if n := len(v.UsedMapFDs); n > 0 {
-		if cfg.MapByFD == nil {
-			return nil, nil, false
-		}
-		used = make([]*maps.Map, n)
-		for i, fd := range v.UsedMapFDs {
-			m := cfg.MapByFD(fd)
-			if m == nil {
-				return nil, nil, false
-			}
-			used[i] = m
-		}
-	}
 	var fixed *isa.Program
 	if !v.Rejected {
 		var err error
-		fixed, err = fixupProgram(prog, cfg, func(i int) bool { return v.ProbeMem[i] }, staleFixup)
+		fixed, err = fixupProgram(prog, cfg, func(i int) bool { return slices.Contains(v.ProbeLoads, int32(i)) }, staleFixup)
 		if err != nil {
 			return nil, nil, false
 		}
@@ -176,8 +157,6 @@ func (v *CachedVerdict) materialize(prog *isa.Program, cfg *Config) (*Result, er
 		PeakStates:    v.PeakStates,
 		TotalStates:   v.TotalStates,
 		RangeChecks:   v.RangeChecks,
-		ProbeMem:      v.ProbeMem,
-		UsedMaps:      used,
 		R0Bounds:      v.R0Bounds,
 	}, nil, true
 }

@@ -1,6 +1,7 @@
-// Cache-equivalence fuzzing lives in an external test package: the cache
-// store under test (internal/vcache) imports verifier, so an in-package
-// test would be an import cycle.
+// Cache-equivalence fuzzing, and the cache tests and benchmark that need
+// a store, live in an external test package: the cache store under test
+// (internal/vcache) imports verifier, so an in-package test would be an
+// import cycle.
 package verifier_test
 
 import (
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/coverage"
+	"repro/internal/helpers"
 	"repro/internal/isa"
 	"repro/internal/kernel"
 	"repro/internal/maps"
@@ -20,8 +22,8 @@ import (
 )
 
 // newEquivKernel builds a kernel with a small map pool so fuzzed programs
-// can exercise the map-rebinding path of cache hits. The first CreateMap
-// gets FD 100 — the seed corpus hardcodes it.
+// can exercise the map path of cache hits: FD 3 is the array, FD 4 the
+// hash map.
 func newEquivKernel(tb testing.TB) *kernel.Kernel {
 	tb.Helper()
 	k := kernel.New(kernel.Config{Version: kernel.BPFNext})
@@ -94,20 +96,10 @@ func diffVerdicts(a, b verdict) string {
 			return fmt.Sprintf("TotalStates %d vs %d", ra.TotalStates, rb.TotalStates)
 		case !reflect.DeepEqual(ra.RangeChecks, rb.RangeChecks):
 			return fmt.Sprintf("RangeChecks %v vs %v", ra.RangeChecks, rb.RangeChecks)
-		case !reflect.DeepEqual(ra.ProbeMem, rb.ProbeMem):
-			return fmt.Sprintf("ProbeMem %v vs %v", ra.ProbeMem, rb.ProbeMem)
 		case ra.R0Bounds != rb.R0Bounds:
 			return fmt.Sprintf("R0Bounds %+v vs %+v", ra.R0Bounds, rb.R0Bounds)
 		case !reflect.DeepEqual(ra.Prog.Insns, rb.Prog.Insns):
 			return "fixed-up program instructions differ"
-		}
-		if len(ra.UsedMaps) != len(rb.UsedMaps) {
-			return fmt.Sprintf("UsedMaps %d vs %d", len(ra.UsedMaps), len(rb.UsedMaps))
-		}
-		for i := range ra.UsedMaps {
-			if ra.UsedMaps[i] != rb.UsedMaps[i] {
-				return fmt.Sprintf("UsedMaps[%d]: %p vs %p", i, ra.UsedMaps[i], rb.UsedMaps[i])
-			}
 		}
 	}
 	ca, erra := a.cov.MarshalBinary()
@@ -145,9 +137,9 @@ func FuzzVerifyCacheEquivalence(f *testing.F) {
 		isa.Mov64Imm(isa.R0, 1),
 		isa.Exit(),
 	}))
-	// Map access: the cache hit must rebind FDs and re-run fixup.
+	// Map access: the cache hit must resolve the FD again in its fixup.
 	f.Add(uint8(1), encodeInsns([]isa.Instruction{
-		isa.LoadMapFD(isa.R9, 100),
+		isa.LoadMapFD(isa.R9, 3),
 		isa.StoreImm(isa.SizeW, isa.R10, -4, 0),
 		isa.Mov64Reg(isa.R2, isa.R10),
 		isa.Alu64Imm(isa.ALUAdd, isa.R2, -4),
@@ -200,4 +192,69 @@ func FuzzVerifyCacheEquivalence(f *testing.F) {
 			t.Errorf("cold+warm runs recorded %d misses, want 1 (hits %d)", cnt.Misses, cnt.Hits)
 		}
 	})
+}
+
+// mapLookupProg looks up key 0 in newEquivKernel's array map (FD 3) and
+// reads the value behind a null check: an accepted program whose cache
+// hit must resolve a map FD again.
+func mapLookupProg() *isa.Program {
+	return &isa.Program{Type: isa.ProgTypeSocketFilter, GPLCompatible: true, Insns: []isa.Instruction{
+		isa.LoadMapFD(isa.R1, 3),
+		isa.Mov64Reg(isa.R2, isa.R10),
+		isa.Alu64Imm(isa.ALUAdd, isa.R2, -8),
+		isa.StoreImm(isa.SizeDW, isa.R10, -8, 0),
+		isa.Call(helpers.MapLookupElem),
+		isa.JumpImm(isa.JNE, isa.R0, 0, 1),
+		isa.Exit(),
+		isa.LoadMem(isa.SizeDW, isa.R0, isa.R0, 8),
+		isa.Exit(),
+	}}
+}
+
+// TestCacheStaleMapFDVerifiesFromScratch: a stored verdict whose map FD
+// no longer resolves (the program is looked up on a kernel without that
+// map) is a miss. The program is verified again from scratch, and the
+// outcome and the coverage equal a verification without the cache: no
+// site of the stored verdict is replayed before the fixup that finds
+// the FD stale.
+func TestCacheStaleMapFDVerifiesFromScratch(t *testing.T) {
+	prog := mapLookupProg()
+	store := vcache.NewStore(0)
+	stored := runVerify(newEquivKernel(t), prog, store)
+	if stored.err != nil {
+		t.Fatalf("not accepted on a kernel holding fd 3: %v", stored.err)
+	}
+	bare := kernel.New(kernel.Config{Version: kernel.BPFNext})
+	scratch := runVerify(bare, prog, nil)
+	if scratch.err == nil {
+		t.Fatal("accepted on a kernel without fd 3")
+	}
+	if stored.cov.Count() <= scratch.cov.Count() {
+		t.Fatalf("stored verdict covers %d sites, the rejection %d: a replay of stored sites would not show",
+			stored.cov.Count(), scratch.cov.Count())
+	}
+	stale := runVerify(bare, prog, store)
+	if d := diffVerdicts(scratch, stale); d != "" {
+		t.Errorf("stale-FD hit diverges from scratch verification: %s", d)
+	}
+}
+
+// BenchmarkVerifyCacheHit times one warm-cache hit: the lookup, the
+// fixup that resolves the map FD again, and the coverage replay.
+func BenchmarkVerifyCacheHit(b *testing.B) {
+	k := newEquivKernel(b)
+	prog := mapLookupProg()
+	cfg := k.VerifierConfig()
+	cfg.Cov = coverage.NewMap()
+	cfg.Cache = vcache.NewStore(0)
+	if _, err := verifier.Verify(prog, cfg); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := verifier.Verify(prog, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

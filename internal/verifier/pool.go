@@ -127,12 +127,15 @@ var envPool = sync.Pool{New: func() interface{} { return &env{} }}
 func getEnv(prog *isa.Program, cfg *Config) *env {
 	e := envPool.Get().(*env)
 	e.cfg, e.prog = cfg, prog
+	e.maxInsns = cfg.MaxInsnProcessed
+	if e.maxInsns == 0 {
+		e.maxInsns = defaultMaxInsnProcessed
+	}
 	e.deadline = time.Time{}
 	e.insnProcessed, e.totalStates, e.peakStates = 0, 0, 0
 	e.idCounter, e.refCounter, e.snapCounter = 0, 0, 0
 	e.r0Bounds = ReturnBounds{}
 	e.states = nil
-	e.log.Reset()
 
 	n := len(prog.Insns)
 	e.slotOf = growInt32(e.slotOf, n)

@@ -74,8 +74,8 @@ type RegState struct {
 	UMin uint64
 	UMax uint64
 	// MapIdx names the referenced map for ConstPtrToMap / PtrToMapValue:
-	// its index in the verification's used-map list, the order
-	// Result.UsedMaps publishes. An index rather than a *maps.Map keeps
+	// its index in the verification's used-map list (env.usedMaps, in
+	// first-use order). An index rather than a *maps.Map keeps
 	// RegState, and so every frame, free of pointers: copying a frame is
 	// a plain memmove without write barriers, and the garbage collector
 	// does not scan pooled frames.
@@ -190,45 +190,6 @@ func (r *RegState) setRange(smin, smax int64, umin, umax uint64) {
 func (r *RegState) zeroVar() {
 	r.VarOff = tnum.Const(0)
 	r.SMin, r.SMax, r.UMin, r.UMax = 0, 0, 0, 0
-}
-
-// String renders the register in verifier-log style.
-func (r *RegState) String() string {
-	switch r.Type {
-	case NotInit:
-		return "?"
-	case Scalar:
-		if r.IsConst() {
-			return fmt.Sprintf("%d", int64(r.ConstVal()))
-		}
-		return fmt.Sprintf("scalar(umin=%d,umax=%d,smin=%d,smax=%d,var=%v)",
-			r.UMin, r.UMax, r.SMin, r.SMax, r.VarOff)
-	case PtrToStack:
-		return fmt.Sprintf("fp%+d", r.Off)
-	case PtrToMapValue:
-		null := ""
-		if r.MaybeNull {
-			null = "_or_null"
-		}
-		return fmt.Sprintf("map_value%s(off=%d,umax=%d)", null, r.Off, r.UMax)
-	case ConstPtrToMap:
-		return "map_ptr"
-	case PtrToCtx:
-		return fmt.Sprintf("ctx%+d", r.Off)
-	case PtrToPacket:
-		return fmt.Sprintf("pkt(off=%d,r=%d)", r.Off, r.Range)
-	case PtrToPacketEnd:
-		return "pkt_end"
-	case PtrToBTFID:
-		null := ""
-		if r.MaybeNull {
-			null = "_or_null"
-		}
-		return fmt.Sprintf("ptr_btf%s(id=%d,off=%d)", null, r.BTF, r.Off)
-	case PtrToMem:
-		return fmt.Sprintf("mem(off=%d,size=%d)", r.Off, r.MemSize)
-	}
-	return "??"
 }
 
 // SlotKind classifies one 8-byte stack slot.

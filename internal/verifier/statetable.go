@@ -126,13 +126,6 @@ type recorder interface {
 	record(insn int, f *FuncState)
 }
 
-// NewStateTable sizes a claim table for prog.
-func NewStateTable(prog *isa.Program) *StateTable {
-	t := new(StateTable)
-	t.reset(prog)
-	return t
-}
-
 // reset empties t for prog: every claim is ClaimNone, and allowStack and
 // poisoned describe prog alone. It clears the kinds and the live masks,
 // not the claims they make stale, and grows the planes only when prog is

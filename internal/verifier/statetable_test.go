@@ -60,7 +60,8 @@ func TestStateTablePoisonedRegister(t *testing.T) {
 		isa.Mov64Imm(isa.R0, 0),
 		isa.Exit(),
 	}}
-	tab := NewStateTable(prog)
+	tab := new(StateTable)
+	tab.reset(prog)
 	if tab.poisoned != 1<<isa.R3 {
 		t.Fatalf("poisoned mask = %#x, want 1<<R3", tab.poisoned)
 	}

@@ -3,7 +3,6 @@ package verifier
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/btf"
@@ -35,10 +34,6 @@ type Error struct {
 	// something actually inspects the message.
 	Msg   string
 	Errno int
-	// Log carries the verifier log up to the rejection point when the
-	// verification ran with LogLevel > 0, like the log buffer the
-	// bpf(2) syscall fills for user space.
-	Log string
 
 	format string
 	args   []interface{}
@@ -86,15 +81,12 @@ type Config struct {
 	// Cov, when non-nil, records branch coverage of the verifier.
 	Cov *coverage.Map
 	// MaxInsnProcessed bounds the total simulated instructions
-	// (kernel: 1M; scaled down for fuzzing throughput).
+	// (kernel: 1M; scaled down for fuzzing throughput); 0 selects
+	// defaultMaxInsnProcessed.
 	MaxInsnProcessed int
 	// DisableKfuncs rejects kernel-function calls, modeling kernels
 	// predating kfunc support (v5.15).
 	DisableKfuncs bool
-	// LogLevel > 0 writes each simulated instruction to the verifier
-	// log (Result.Log, Error.Log); > 1 adds the current frame's
-	// registers.
-	LogLevel int
 	// Timeout, when positive, bounds the wall-clock time of one Verify
 	// call; exceeding it aborts the exploration with a *TimeoutError.
 	// This is the campaign watchdog against worklist explosions that the
@@ -122,8 +114,8 @@ type Config struct {
 	States *StateTable
 	// Cache, when non-nil, memoizes whole-program verdicts across Verify
 	// calls (see cache.go). It is consulted only when the run is
-	// cacheable: LogLevel 0, RecordStates off (the oracle must never see
-	// replayed claims), coverage on.
+	// cacheable: RecordStates off (the oracle must never see replayed
+	// claims), coverage on.
 	Cache Cache
 	// CacheNanos, when non-nil, accumulates the wall-clock nanoseconds
 	// Verify spends in the cache layer (fingerprinting, lookup, hit
@@ -176,11 +168,6 @@ type Result struct {
 	TotalStates int
 	// RangeChecks drive the sanitizer's alu_limit assertions.
 	RangeChecks []RangeCheck
-	// ProbeMem marks instruction indices converted to exception-handled
-	// probe reads (PTR_TO_BTF_ID loads).
-	ProbeMem map[int]bool
-	// UsedMaps lists every map the program references.
-	UsedMaps []*maps.Map
 	// R0Bounds is the union of the verifier's beliefs about the return
 	// value across every explored exit path. A sound verifier implies
 	// every runtime return value falls inside it.
@@ -191,8 +178,6 @@ type Result struct {
 	// Config.States supplied the table, this is that table: the next
 	// Verify into it overwrites these claims.
 	States *StateTable
-	// Log is the verifier log (LogLevel > 0).
-	Log string
 	// Deprecated: CacheFP is never set. It keyed the kernel's sanitizer
 	// memo, which is gone; it stays only because perfbench/mirror.go's
 	// copy of that memo still reads it.
@@ -254,8 +239,11 @@ type env struct {
 	// second half of an LD_IMM64 (not a valid jump target).
 	idxOf []int32
 
-	// deadline is the wall-clock watchdog cutoff (zero = unbounded).
+	// deadline is the wall-clock watchdog cutoff (zero = unbounded), and
+	// maxInsns the instruction budget: Config.MaxInsnProcessed, or
+	// defaultMaxInsnProcessed when that is 0.
 	deadline time.Time
+	maxInsns int
 
 	insnProcessed int
 	totalStates   int
@@ -287,12 +275,13 @@ type env struct {
 	// aluScalarPath marks ALU insns some path executed with two scalar
 	// operands, which disables that insn's alu_limit assertion.
 	aluScalarPath []bool
-	probeMem      []bool
+	// probeMem marks the loads fixup converts to probe reads (checked
+	// through PTR_TO_BTF_ID).
+	probeMem []bool
 	// usedMaps lists every map the program references, in first-use
-	// order; RegState.MapIdx indexes it. It is pooled: an accepted
-	// program publishes a copy as Result.UsedMaps, and teardown clears
-	// the entries. Membership is a linear scan (programs reference a
-	// handful of maps).
+	// order; RegState.MapIdx indexes it. It is pooled, and teardown
+	// clears the entries. Membership is a linear scan (programs
+	// reference a handful of maps).
 	usedMaps []*maps.Map
 
 	// lcov is the per-verification coverage recorder (nil when coverage is
@@ -307,14 +296,6 @@ type env struct {
 	// statePool / framePool recycle exploration states; see pool.go.
 	statePool []*State
 	framePool []*FuncState
-
-	log strings.Builder
-}
-
-func (e *env) logf(format string, args ...interface{}) {
-	if e.cfg.LogLevel > 0 {
-		fmt.Fprintf(&e.log, format, args...)
-	}
 }
 
 func (e *env) newID() uint32 { e.idCounter++; return e.idCounter }
@@ -335,8 +316,7 @@ func (e *env) watchdog() error {
 func (e *env) reject(insn int, errno int, format string, args ...interface{}) error {
 	word := rejectWord(format, args)
 	e.cov("reject:", word)
-	return &Error{Insn: insn, Errno: errno, Log: e.log.String(),
-		format: format, args: args, reason: word}
+	return &Error{Insn: insn, Errno: errno, format: format, args: args, reason: word}
 }
 
 func firstWord(s string) string {
@@ -379,24 +359,6 @@ func countVerbs(s string) int {
 		n++
 	}
 	return n
-}
-
-// stateLine renders the live registers of the current frame in
-// verifier-log style ("R0=scalar(...) R1=ctx+0 R10=fp0").
-func stateLine(st *State) string {
-	var sb strings.Builder
-	f := st.Cur()
-	for r := 0; r < isa.MaxReg; r++ {
-		reg := &f.Regs[r]
-		if reg.Type == NotInit {
-			continue
-		}
-		if sb.Len() > 0 {
-			sb.WriteByte(' ')
-		}
-		fmt.Fprintf(&sb, "R%d=%s", r, reg.String())
-	}
-	return sb.String()
 }
 
 // jumpTarget converts a decoded insn index plus a slot-relative offset to
@@ -456,13 +418,14 @@ func addCacheNanos(cfg *Config, d time.Duration) {
 // maxStatesPerInsn bounds remembered prune states per instruction.
 const maxStatesPerInsn = 16
 
+// defaultMaxInsnProcessed is the instruction budget of a Config that
+// sets none.
+const defaultMaxInsnProcessed = 100000
+
 // verify is the scratch verification path. capture, when non-nil, marks a
 // cache-miss run: the final coverage site set is exported into it for the
 // verdict-cache entry.
 func verify(prog *isa.Program, cfg *Config, capture *[]coverage.Site) (*Result, error) {
-	if cfg.MaxInsnProcessed == 0 {
-		cfg.MaxInsnProcessed = 100000
-	}
 	e := getEnv(prog, cfg)
 	defer e.teardown()
 	if cfg.Cov != nil {
@@ -535,11 +498,8 @@ func verify(prog *isa.Program, cfg *Config, capture *[]coverage.Site) (*Result, 
 		InsnProcessed: e.insnProcessed,
 		PeakStates:    e.peakStates,
 		TotalStates:   e.totalStates,
-		ProbeMem:      e.probeMemMap(),
-		UsedMaps:      e.usedMapsCopy(),
 		R0Bounds:      e.r0Bounds,
 		States:        e.states,
-		Log:           e.log.String(),
 	}
 	// rcSet is walked in instruction order, so RangeChecks comes out
 	// sorted by InsnIdx — the deterministic order the sanitizer needs —
@@ -550,30 +510,6 @@ func verify(prog *isa.Program, cfg *Config, capture *[]coverage.Site) (*Result, 
 		}
 	}
 	return res, nil
-}
-
-// usedMapsCopy publishes the used-map list as Result.UsedMaps, nil when
-// the program references no map.
-func (e *env) usedMapsCopy() []*maps.Map {
-	if len(e.usedMaps) == 0 {
-		return nil
-	}
-	return append([]*maps.Map(nil), e.usedMaps...)
-}
-
-// probeMemMap publishes the probe-mem conversion set as the map Result
-// carries, nil when no instruction was converted.
-func (e *env) probeMemMap() map[int]bool {
-	var pm map[int]bool
-	for i, b := range e.probeMem {
-		if b {
-			if pm == nil {
-				pm = make(map[int]bool)
-			}
-			pm[i] = true
-		}
-	}
-	return pm
 }
 
 // runPath simulates instructions from st until the path ends (exit from
@@ -604,12 +540,12 @@ func (e *env) runPath(st *State) (*State, *State, error) {
 }
 
 // step simulates instruction i on st: the instruction budget, the
-// watchdog cadence, claim recording, logging, and the class dispatch.
+// watchdog cadence, claim recording, and the class dispatch.
 // Every class but JMP/JMP32 advances st to i+1; a jump-class instruction
 // returns checkJmp's outcome (path ended, or a taken-branch sibling).
 func (e *env) step(st *State, i int) (bool, *State, error) {
 	e.insnProcessed++
-	if e.insnProcessed > e.cfg.MaxInsnProcessed {
+	if e.insnProcessed > e.maxInsns {
 		return false, nil, e.reject(i, E2BIG, "BPF program is too large: processed %d insn", e.insnProcessed)
 	}
 	if e.insnProcessed&255 == 0 {
@@ -622,12 +558,6 @@ func (e *env) step(st *State, i int) (bool, *State, error) {
 		// Claims are joined before the instruction is checked, matching
 		// the runtime hook that fires before it executes.
 		e.states.record(i, st.Cur())
-	}
-	if e.cfg.LogLevel > 0 {
-		e.logf("%d: %s\n", i, ins.String())
-		if e.cfg.LogLevel > 1 {
-			e.logf(";  %s\n", stateLine(st))
-		}
 	}
 
 	var err error
